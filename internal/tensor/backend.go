@@ -24,7 +24,10 @@ type Backend interface {
 	MatMulATBAcc(dst, a, b *Matrix)
 	// MatMulABT computes dst = a @ bᵀ.
 	MatMulABT(dst, a, b *Matrix)
-	// MatMulABTStream computes dst = a @ bᵀ with two-row blocking.
+	// MatMulABTStream computes dst = a @ bᵀ with two-row blocking. It runs
+	// the same kernel as MatMulABT; both stay so that the model's backward
+	// and logits calls (MatMulABT) and its batched serving calls
+	// (MatMulABTStream) are timed as separate per-kernel figures.
 	MatMulABTStream(dst, a, b *Matrix)
 	// MatMulABTStreamQ8 computes dst = a @ dequant(b)ᵀ against int8 weights
 	// (the quantized serving hot path; see the package function).
@@ -113,10 +116,10 @@ const parallelMinWork = 1 << 15
 // output — rows when there are enough of them, columns otherwise (a batch-1
 // activation against a V×D embedding tiles the vocabulary axis) — into one
 // contiguous tile per worker with boundaries that are a pure function of the
-// shape and worker count. Every tile writes a disjoint output range and
-// computes each element with exactly the serial kernel's operation order,
-// so results are bit-identical to Serial at every worker count: no atomic
-// adds, no reduction trees, no scheduling dependence.
+// shape and worker count. Every tile runs the product's one tile kernel
+// (see matMulTile) over a disjoint output range, so results are
+// bit-identical to Serial at every worker count: no atomic adds, no
+// reduction trees, no scheduling dependence.
 //
 // The workers−1 helper goroutines are persistent (spawned once in
 // NewParallel, parked on a channel between calls) and the dispatch path
@@ -136,10 +139,31 @@ const (
 	kkMatMul kernelKind = iota
 	kkATBAcc
 	kkABT
-	kkABTStream
-	kkABTStreamQ8
-	kkMatVecQ8
+	kkABTQ8
 )
+
+// product is one kernel call: which tile kernel, and its operands. The
+// matrices are held by value so a caller can pass a stack-built header
+// (MatVecQ8's one-row views) without it escaping to the heap.
+type product struct {
+	kind      kernelKind
+	dst, a, b Matrix
+	qb        *QMatrix // int8 right operand (kkABTQ8)
+}
+
+// tile runs the product's kernel over the dst rows [r0, r1) × columns [c0, c1).
+func (pr *product) tile(r0, r1, c0, c1 int) {
+	switch pr.kind {
+	case kkMatMul:
+		matMulTile(&pr.dst, &pr.a, &pr.b, r0, r1, c0, c1)
+	case kkATBAcc:
+		matMulATBAccTile(&pr.dst, &pr.a, &pr.b, r0, r1, c0, c1)
+	case kkABT:
+		matMulABTTile(&pr.dst, &pr.a, &pr.b, r0, r1, c0, c1)
+	case kkABTQ8:
+		matMulABTQ8Tile(&pr.dst, &pr.a, pr.qb, r0, r1, c0, c1)
+	}
+}
 
 // parallelJob is the state shared with the helper goroutines. The helpers
 // hold only this struct (not the Parallel), so an unreachable backend can be
@@ -156,14 +180,9 @@ type parallelJob struct {
 	quit chan struct{}
 	once sync.Once // guards close(quit): Close and the GC cleanup may both run
 
-	kind      kernelKind
-	dst, a, b *Matrix
-	qb        *QMatrix  // quantized operand (kkABTStreamQ8, kkMatVecQ8)
-	yv, xv    []float32 // vector operands (kkMatVecQ8)
-	byCols    bool
-	units     int // rows or columns being tiled
-	tiles     int
-	next      atomic.Int64 // tile claim counter
+	product
+	rowTiles, colTiles int          // one of them is 1
+	next               atomic.Int64 // tile claim counter
 }
 
 // NewParallel returns a backend tiling across n workers (helper goroutines
@@ -222,81 +241,57 @@ func (j *parallelJob) run() {
 func (j *parallelJob) claim() {
 	for {
 		t := int(j.next.Add(1)) - 1
-		if t >= j.tiles {
+		if t >= j.rowTiles*j.colTiles {
 			return
 		}
 		j.runTile(t)
 	}
 }
 
-// bound returns tile boundary t. Boundaries depend only on (units, tiles),
-// never on scheduling — the determinism the bit-identity contract needs.
-// Stream row tiles align to even starts so dot2's two-row blocking keeps its
-// pairing (values would be identical anyway; see matMulABTStreamRows).
-func (j *parallelJob) bound(t int) int {
-	v := t * j.units / j.tiles
-	if (j.kind == kkABTStream || j.kind == kkABTStreamQ8) && !j.byCols && t > 0 && t < j.tiles {
-		v &^= 1
+// runTile runs tile t of the rowTiles × colTiles grid. Boundaries depend
+// only on the shape and the grid, never on scheduling — the determinism the
+// bit-identity contract needs. ABT row tiles start on even rows so dot2's
+// two-row blocking keeps its pairing (values would be identical anyway; see
+// matMulABTTile).
+func (j *parallelJob) runTile(t int) {
+	m, n := j.dst.Rows, j.dst.Cols
+	r, c := t/j.colTiles, t%j.colTiles
+	r0, r1 := r*m/j.rowTiles, (r+1)*m/j.rowTiles
+	if j.kind == kkABT {
+		r0 &^= 1
+		if r1 < m {
+			r1 &^= 1
+		}
 	}
-	return v
+	j.tile(r0, r1, c*n/j.colTiles, (c+1)*n/j.colTiles)
 }
 
-func (j *parallelJob) runTile(t int) {
-	lo, hi := j.bound(t), j.bound(t+1)
-	if lo >= hi {
+// run executes one product whose inner dimension is k: inline on the caller
+// when it is too small to tile (empty shapes included), otherwise across
+// the workers. The decision is a pure function of shape, so it cannot
+// perturb determinism (and even when it differs across worker counts, both
+// paths compute identical bits).
+func (p *Parallel) run(pr product, k int) {
+	m, n := pr.dst.Rows, pr.dst.Cols
+	if p.workers == 1 || m*k*n < parallelMinWork {
+		pr.tile(0, m, 0, n)
 		return
 	}
-	switch j.kind {
-	case kkMatMul:
-		if j.byCols {
-			matMulCols(j.dst, j.a, j.b, lo, hi)
-		} else {
-			matMulRows(j.dst, j.a, j.b, lo, hi)
-		}
-	case kkATBAcc:
-		if j.byCols {
-			matMulATBAccCols(j.dst, j.a, j.b, lo, hi)
-		} else {
-			matMulATBAccRows(j.dst, j.a, j.b, lo, hi)
-		}
-	case kkABT:
-		if j.byCols {
-			matMulABTCols(j.dst, j.a, j.b, lo, hi)
-		} else {
-			matMulABTRows(j.dst, j.a, j.b, lo, hi)
-		}
-	case kkABTStream:
-		if j.byCols {
-			matMulABTStreamCols(j.dst, j.a, j.b, lo, hi)
-		} else {
-			matMulABTStreamRows(j.dst, j.a, j.b, lo, hi)
-		}
-	case kkABTStreamQ8:
-		if j.byCols {
-			matMulABTStreamQ8Cols(j.dst, j.a, j.qb, lo, hi)
-		} else {
-			matMulABTStreamQ8Rows(j.dst, j.a, j.qb, lo, hi)
-		}
-	case kkMatVecQ8:
-		matVecQ8Range(j.yv, j.qb, j.xv, lo, hi)
-	}
+	p.dispatch(&pr)
 }
 
-// dispatch fans one kernel call across the workers and returns when every
-// tile has finished. Zero allocations: the job struct is reused, tokens ride
+// dispatch fans one product across the workers and returns when every tile
+// has finished. Zero allocations: the job struct is reused, tokens ride
 // preallocated buffered channels.
-func (p *Parallel) dispatch(kind kernelKind, dst, a, b *Matrix, rows, cols int) {
+func (p *Parallel) dispatch(pr *product) {
 	j := p.job
 	p.mu.Lock()
-	j.kind, j.dst, j.a, j.b = kind, dst, a, b
+	j.product = *pr
 	// Tile the larger output axis, so batch-1 shapes still spread.
-	j.byCols, j.units = false, rows
-	if cols > rows {
-		j.byCols, j.units = true, cols
-	}
-	j.tiles = p.workers
-	if j.tiles > j.units {
-		j.tiles = j.units
+	m, n := pr.dst.Rows, pr.dst.Cols
+	j.rowTiles, j.colTiles = min(p.workers, m), 1
+	if n > m {
+		j.rowTiles, j.colTiles = 1, min(p.workers, n)
 	}
 	j.next.Store(0)
 	for i := 0; i < p.workers-1; i++ {
@@ -306,56 +301,16 @@ func (p *Parallel) dispatch(kind kernelKind, dst, a, b *Matrix, rows, cols int) 
 	for i := 0; i < p.workers-1; i++ {
 		<-j.ack
 	}
-	// Helpers are parked again; drop matrix references so a long-lived
+	// Helpers are parked again; drop operand references so a long-lived
 	// backend does not pin its last operands.
-	j.dst, j.a, j.b = nil, nil, nil
+	j.product = product{}
 	p.mu.Unlock()
-}
-
-// dispatchQ8 mirrors dispatch for the quantized kernels, carrying the
-// QMatrix operand (and, for MatVecQ8, the vector operands) in dedicated job
-// fields. Same lifecycle discipline, same zero-allocation guarantee.
-func (p *Parallel) dispatchQ8(kind kernelKind, dst, a *Matrix, qb *QMatrix, yv, xv []float32, rows, cols int) {
-	j := p.job
-	p.mu.Lock()
-	j.kind, j.dst, j.a, j.b = kind, dst, a, nil
-	j.qb, j.yv, j.xv = qb, yv, xv
-	j.byCols, j.units = false, rows
-	if cols > rows {
-		j.byCols, j.units = true, cols
-	}
-	j.tiles = p.workers
-	if j.tiles > j.units {
-		j.tiles = j.units
-	}
-	j.next.Store(0)
-	for i := 0; i < p.workers-1; i++ {
-		j.wake <- struct{}{}
-	}
-	j.claim()
-	for i := 0; i < p.workers-1; i++ {
-		<-j.ack
-	}
-	j.dst, j.a, j.qb, j.yv, j.xv = nil, nil, nil, nil, nil
-	p.mu.Unlock()
-}
-
-// serialCutoff reports whether the call is too small to tile: below the
-// work threshold, or degenerate. The decision is a pure function of shape,
-// so it cannot perturb determinism (and even when it differs across worker
-// counts, both paths compute identical bits).
-func (p *Parallel) serialCutoff(m, k, n int) bool {
-	return p.workers == 1 || m*k*n < parallelMinWork || m == 0 || n == 0
 }
 
 // MatMul implements Backend.
 func (p *Parallel) MatMul(dst, a, b *Matrix) {
 	checkMatMul(dst, a, b)
-	if p.serialCutoff(a.Rows, a.Cols, b.Cols) {
-		matMulRows(dst, a, b, 0, a.Rows)
-		return
-	}
-	p.dispatch(kkMatMul, dst, a, b, a.Rows, b.Cols)
+	p.run(product{kind: kkMatMul, dst: *dst, a: *a, b: *b}, a.Cols)
 }
 
 // MatMulATB implements Backend.
@@ -368,31 +323,16 @@ func (p *Parallel) MatMulATB(dst, a, b *Matrix) {
 // MatMulATBAcc implements Backend.
 func (p *Parallel) MatMulATBAcc(dst, a, b *Matrix) {
 	checkMatMulATB(dst, a, b)
-	if p.serialCutoff(a.Cols, a.Rows, b.Cols) {
-		matMulATBAccRows(dst, a, b, 0, a.Cols)
-		return
-	}
-	p.dispatch(kkATBAcc, dst, a, b, a.Cols, b.Cols)
+	p.run(product{kind: kkATBAcc, dst: *dst, a: *a, b: *b}, a.Rows)
 }
 
 // MatMulABT implements Backend.
-func (p *Parallel) MatMulABT(dst, a, b *Matrix) {
-	checkMatMulABT(dst, a, b)
-	if p.serialCutoff(a.Rows, a.Cols, b.Rows) {
-		matMulABTRows(dst, a, b, 0, a.Rows)
-		return
-	}
-	p.dispatch(kkABT, dst, a, b, a.Rows, b.Rows)
-}
+func (p *Parallel) MatMulABT(dst, a, b *Matrix) { p.MatMulABTStream(dst, a, b) }
 
 // MatMulABTStream implements Backend.
 func (p *Parallel) MatMulABTStream(dst, a, b *Matrix) {
 	checkMatMulABT(dst, a, b)
-	if p.serialCutoff(a.Rows, a.Cols, b.Rows) {
-		matMulABTStreamRows(dst, a, b, 0, a.Rows)
-		return
-	}
-	p.dispatch(kkABTStream, dst, a, b, a.Rows, b.Rows)
+	p.run(product{kind: kkABT, dst: *dst, a: *a, b: *b}, a.Cols)
 }
 
 // MatMulABTStreamQ8 implements Backend. The cutoff judges the same
@@ -400,24 +340,12 @@ func (p *Parallel) MatMulABTStream(dst, a, b *Matrix) {
 // arithmetic, just against narrower loads.
 func (p *Parallel) MatMulABTStreamQ8(dst, a *Matrix, b *QMatrix) {
 	checkMatMulABTQ8(dst, a, b)
-	if p.serialCutoff(a.Rows, a.Cols, b.Rows) {
-		matMulABTStreamQ8Rows(dst, a, b, 0, a.Rows)
-		return
-	}
-	p.dispatchQ8(kkABTStreamQ8, dst, a, b, nil, nil, a.Rows, b.Rows)
+	p.run(product{kind: kkABTQ8, dst: *dst, a: *a, qb: b}, a.Cols)
 }
 
-// MatVecQ8 implements Backend, tiling the output elements (q's rows). Each
-// element is an independent qdot, so the partition is trivially bit-identical
-// to the serial pass.
+// MatVecQ8 implements Backend as a one-row MatMulABTStreamQ8, which tiles
+// the output elements (q's rows) as columns.
 func (p *Parallel) MatVecQ8(dst []float32, q *QMatrix, x []float32) {
-	if len(x) != q.Cols || len(dst) != q.Rows {
-		MatVecQ8(dst, q, x) // delegate the panic message
-		return
-	}
-	if p.serialCutoff(1, q.Cols, q.Rows) {
-		matVecQ8Range(dst, q, x, 0, q.Rows)
-		return
-	}
-	p.dispatchQ8(kkMatVecQ8, nil, nil, q, dst, x, q.Rows, 0)
+	checkMatVecQ8(dst, q, x)
+	p.run(product{kind: kkABTQ8, dst: *vecRow(dst), a: *vecRow(x), qb: q}, q.Cols)
 }

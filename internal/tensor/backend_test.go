@@ -12,7 +12,9 @@ import (
 // test sweeps: empty, zero-row, zero-inner, single-row (the serving batch-1
 // shape, which tiles columns), odd extents, widths not divisible by the
 // kernels' 4-wide unrolling, and sizes above parallelMinWork so the tiled
-// dispatch path actually runs.
+// dispatch path actually runs — with row tiles, and with column tiles of
+// one row, of an even row count and of an odd one (a dot2 pair plus a Dot
+// tail row).
 var backendShapes = [][3]int{
 	{0, 0, 0},
 	{0, 5, 3},
@@ -23,6 +25,8 @@ var backendShapes = [][3]int{
 	{1, 64, 512},
 	{33, 65, 29},
 	{48, 33, 47},
+	{3, 40, 300},
+	{2, 128, 257},
 }
 
 // backendWorkerCounts includes 1 (Serial), even and odd splits, and more
@@ -48,7 +52,8 @@ func bitsEqual(t *testing.T, ctx string, got, want *Matrix) {
 
 // TestBackendBitIdentity is the backend contract: every kernel, at every
 // worker count, over every shape — including degenerate and unaligned ones —
-// produces exactly the bits the serial reference produces.
+// produces exactly the bits the serial reference produces. The a @ bᵀ
+// reference is the per-element Dot loop, independent of the dot2 kernel.
 func TestBackendBitIdentity(t *testing.T) {
 	r := rng.New(99)
 	for _, shape := range backendShapes {
@@ -68,10 +73,7 @@ func TestBackendBitIdentity(t *testing.T) {
 		wantAcc := NewMatrix(m, n)
 		copy(wantAcc.Data, acc.Data)
 		MatMulATBAcc(wantAcc, at, b)
-		wantABT := NewMatrix(m, n)
-		MatMulABT(wantABT, a, bt)
-		wantStream := NewMatrix(m, n)
-		MatMulABTStream(wantStream, a, bt)
+		wantABT := dotABT(a, bt)
 
 		for _, workers := range backendWorkerCounts {
 			be := New(workers)
@@ -95,7 +97,7 @@ func TestBackendBitIdentity(t *testing.T) {
 
 			got.Zero()
 			be.MatMulABTStream(got, a, bt)
-			bitsEqual(t, ctx+" MatMulABTStream", got, wantStream)
+			bitsEqual(t, ctx+" MatMulABTStream", got, wantABT)
 
 			if p, ok := be.(*Parallel); ok {
 				p.Close()

@@ -153,33 +153,19 @@ func checkMatMulABTQ8(dst, a *Matrix, b *QMatrix) {
 // the chunk scale into a running total in ascending chunk order. That order
 // is a pure function of the shapes, independent of tiling, so every backend
 // and worker count computes identical bits (the same disjoint-output
-// argument as the FP32 stream kernel).
+// argument as the FP32 tile kernels).
 func MatMulABTStreamQ8(dst, a *Matrix, b *QMatrix) {
 	checkMatMulABTQ8(dst, a, b)
-	matMulABTStreamQ8Rows(dst, a, b, 0, a.Rows)
+	matMulABTQ8Tile(dst, a, b, 0, dst.Rows, 0, dst.Cols)
 }
 
-// matMulABTStreamQ8Rows is the kernel over dst rows [lo, hi). Every element
-// is an independent qdot, so any row range matches the serial pass.
-func matMulABTStreamQ8Rows(dst, a *Matrix, b *QMatrix, lo, hi int) {
-	n := dst.Cols
-	for i := lo; i < hi; i++ {
+// matMulABTQ8Tile is the MatMulABTStreamQ8 kernel over the dst tile rows
+// [r0, r1) × columns [c0, c1); every element is an independent qdot.
+func matMulABTQ8Tile(dst, a *Matrix, b *QMatrix, r0, r1, c0, c1 int) {
+	for i := r0; i < r1; i++ {
 		ar := a.Row(i)
 		dr := dst.Row(i)
-		for j := 0; j < n; j++ {
-			dr[j] = qdot(ar, b.Row(j), b.RowScales(j), b.Chunk)
-		}
-	}
-}
-
-// matMulABTStreamQ8Cols is the kernel over dst columns [lo, hi) — b rows
-// lo..hi — the tiling used when a has too few rows to split (the batch-1
-// decode against a V×D embedding).
-func matMulABTStreamQ8Cols(dst, a *Matrix, b *QMatrix, lo, hi int) {
-	for i := 0; i < a.Rows; i++ {
-		ar := a.Row(i)
-		dr := dst.Row(i)
-		for j := lo; j < hi; j++ {
+		for j := c0; j < c1; j++ {
 			dr[j] = qdot(ar, b.Row(j), b.RowScales(j), b.Chunk)
 		}
 	}
@@ -187,24 +173,22 @@ func matMulABTStreamQ8Cols(dst, a *Matrix, b *QMatrix, lo, hi int) {
 
 // MatVecQ8 computes dst = dequant(q) @ x — the single-sequence decode fast
 // path (one activation row against a quantized weight or embedding matrix).
-// dst[j] is qdot(x, q.Row(j)), exactly the value MatMulABTStreamQ8 computes
-// for a one-row a, so switching between the two never changes bits.
+// It runs MatMulABTStreamQ8's kernel with x as a one-row a, so dst[j] is
+// qdot(x, q.Row(j)) and switching between the two never changes bits.
 func MatVecQ8(dst []float32, q *QMatrix, x []float32) {
+	checkMatVecQ8(dst, q, x)
+	matMulABTQ8Tile(vecRow(dst), vecRow(x), q, 0, 1, 0, q.Rows)
+}
+
+func checkMatVecQ8(dst []float32, q *QMatrix, x []float32) {
 	if len(x) != q.Cols || len(dst) != q.Rows {
 		panic(fmt.Sprintf("tensor: MatVecQ8 shape mismatch (%dx%d)@%d->%d",
 			q.Rows, q.Cols, len(x), len(dst)))
 	}
-	matVecQ8Range(dst, q, x, 0, q.Rows)
 }
 
-// matVecQ8Range is the MatVecQ8 kernel over output elements [lo, hi). Each
-// element is an independent qdot, so any partition is trivially bit-identical
-// to the serial pass.
-func matVecQ8Range(dst []float32, q *QMatrix, x []float32, lo, hi int) {
-	for j := lo; j < hi; j++ {
-		dst[j] = qdot(x, q.Row(j), q.RowScales(j), q.Chunk)
-	}
-}
+// vecRow views v as a one-row matrix.
+func vecRow(v []float32) *Matrix { return &Matrix{Rows: 1, Cols: len(v), Data: v} }
 
 // qdot computes dot(a, dequant(codes)) chunk by chunk: each chunk sum is
 // accumulated in the canonical sixteen-partial order (see qdotGo), scaled

@@ -4,11 +4,13 @@
 // backward primitives of §II-A), and the elementwise activations LSTM and
 // RHN cells need.
 //
-// Everything is plain Go over flat slices — no assembly, no external BLAS —
-// because the module must build offline from the standard library alone.
-// The kernels are written cache-friendly (ikj matmul loop order, row-major
-// contiguous access) which is enough for the laptop-scale training runs the
-// reproduction performs.
+// Everything is plain Go over flat slices except the int8 dot product
+// behind the quantized kernels, which has an SSE4.1 assembly version on
+// amd64 (qdot_amd64.s) held bit-identical to its portable Go reference.
+// There is no external BLAS, because the module must build offline from the
+// standard library alone. Each matrix product has one cache-friendly tile
+// kernel (row-major contiguous access, ikj order for a @ b), which is enough
+// for the laptop-scale training runs the reproduction performs.
 package tensor
 
 import (
@@ -91,7 +93,7 @@ func (m *Matrix) RandomizeUniform(r *rng.RNG, bound float64) {
 // streams both b and dst rows sequentially.
 func MatMul(dst, a, b *Matrix) {
 	checkMatMul(dst, a, b)
-	matMulRows(dst, a, b, 0, a.Rows)
+	matMulTile(dst, a, b, 0, dst.Rows, 0, dst.Cols)
 }
 
 func checkMatMul(dst, a, b *Matrix) {
@@ -101,53 +103,36 @@ func checkMatMul(dst, a, b *Matrix) {
 	}
 }
 
-// matMulRows is the MatMul kernel over dst rows [lo, hi). Each output row
-// depends only on a's matching row, so any row partition computes every
-// element with exactly the serial pass's operations in the same order.
+// The four tile kernels below — matMulTile, matMulATBAccTile, matMulABTTile
+// and matMulABTQ8Tile — each compute one product over the dst tile rows
+// [r0, r1) × columns [c0, c1): the package functions run the whole matrix
+// as one tile, the parallel backend runs row tiles (r0, r1, 0, n) or column
+// tiles (0, m, c0, c1). Every dst element is accumulated in an order that
+// depends only on the shapes, never on the tile it falls in, so any
+// partition is bit-identical to the whole-matrix pass.
+
+// matMulTile is the MatMul kernel: each dst element accumulates a[i][k]·b[k][j]
+// over k in ascending order.
 //
 // The aik == 0 skip saves the axpy for sparse multipliers (dropout-masked
 // gradients), but IEEE 0×Inf and 0×NaN are NaN, not 0 — skipping a poisoned
 // b row would silently erase a diverged activation. The skip therefore also
 // requires the b row to be finite; the finiteness scan only runs on the
-// skip path, so fully dense inputs pay nothing.
-func matMulRows(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
+// skip path, so fully dense inputs pay nothing. It always scans the full b
+// row, so every tile makes the same skip decision the whole pass would.
+func matMulTile(dst, a, b *Matrix, r0, r1, c0, c1 int) {
+	for i := r0; i < r1; i++ {
 		ar := a.Row(i)
-		dr := dst.Row(i)
+		dr := dst.Row(i)[c0:c1]
 		for j := range dr {
 			dr[j] = 0
 		}
-		for k := 0; k < a.Cols; k++ {
-			aik := ar[k]
+		for k, aik := range ar {
 			br := b.Row(k)
 			if aik == 0 && allFinite(br) {
 				continue
 			}
-			axpy(aik, dr, br)
-		}
-	}
-}
-
-// matMulCols is the MatMul kernel over dst columns [lo, hi), the tiling used
-// when a has too few rows to split (a batch-1 backward). Every dst element
-// accumulates over k in ascending order exactly as in matMulRows, just
-// restricted to a column range, so the two tilings are bit-identical. The
-// skip's finiteness test always scans the full b row — the tile must make
-// the same skip decision the serial kernel would.
-func matMulCols(dst, a, b *Matrix, lo, hi int) {
-	for i := 0; i < a.Rows; i++ {
-		ar := a.Row(i)
-		dr := dst.Row(i)[lo:hi]
-		for j := range dr {
-			dr[j] = 0
-		}
-		for k := 0; k < a.Cols; k++ {
-			aik := ar[k]
-			br := b.Row(k)
-			if aik == 0 && allFinite(br) {
-				continue
-			}
-			axpy(aik, dr, br[lo:hi])
+			axpy(aik, dr, br[c0:c1])
 		}
 	}
 }
@@ -167,7 +152,7 @@ func MatMulATB(dst, a, b *Matrix) {
 // the dominant memory traffic of weight-gradient accumulation.
 func MatMulATBAcc(dst, a, b *Matrix) {
 	checkMatMulATB(dst, a, b)
-	matMulATBAccRows(dst, a, b, 0, a.Cols)
+	matMulATBAccTile(dst, a, b, 0, dst.Rows, 0, dst.Cols)
 }
 
 func checkMatMulATB(dst, a, b *Matrix) {
@@ -177,23 +162,20 @@ func checkMatMulATB(dst, a, b *Matrix) {
 	}
 }
 
-// matMulATBAccRows is the MatMulATBAcc kernel over dst rows [lo, hi) — that
-// is, over a's columns. dst row i accumulates a[k][i]·b.Row(k) for k in
-// ascending order, and that per-row accumulation order is independent of how
-// the i range is partitioned, so any row tiling is bit-identical to the
-// serial pass with no reduction step and no atomics. (Partitioning over k
-// instead — per-worker accumulators plus a final reduce — would regroup the
-// float adds and change low bits, which is why the parallel backend tiles
-// the output rows.)
+// matMulATBAccTile is the MatMulATBAcc kernel: dst row i accumulates
+// a[k][i]·b.Row(k) for k in ascending order. (Partitioning over k instead —
+// per-worker accumulators plus a final reduce — would regroup the float
+// adds and change low bits, which is why the parallel backend tiles dst.)
 //
-// As in matMulRows, the zero-multiplier skip also requires the b row to be
-// finite so NaN/Inf poison propagates; brFinite memoizes the scan per k.
-func matMulATBAccRows(dst, a, b *Matrix, lo, hi int) {
+// As in matMulTile, the zero-multiplier skip also requires the full b row
+// to be finite so NaN/Inf poison propagates; brFinite memoizes the scan per k.
+func matMulATBAccTile(dst, a, b *Matrix, r0, r1, c0, c1 int) {
 	for k := 0; k < a.Rows; k++ {
 		ar := a.Row(k)
 		br := b.Row(k)
+		bt := br[c0:c1]
 		brChecked, brFinite := false, false
-		for i := lo; i < hi; i++ {
+		for i := r0; i < r1; i++ {
 			aki := ar[i]
 			if aki == 0 {
 				if !brChecked {
@@ -203,30 +185,7 @@ func matMulATBAccRows(dst, a, b *Matrix, lo, hi int) {
 					continue
 				}
 			}
-			axpy(aki, dst.Row(i), br)
-		}
-	}
-}
-
-// matMulATBAccCols is the MatMulATBAcc kernel over dst columns [lo, hi),
-// used when aᵀ has too few rows to split. Element-wise identical to the row
-// tiling (same ascending-k accumulation per element, finiteness judged on
-// the full b row).
-func matMulATBAccCols(dst, a, b *Matrix, lo, hi int) {
-	for k := 0; k < a.Rows; k++ {
-		ar := a.Row(k)
-		br := b.Row(k)
-		brChecked, brFinite := false, false
-		for i, aki := range ar {
-			if aki == 0 {
-				if !brChecked {
-					brChecked, brFinite = true, allFinite(br)
-				}
-				if brFinite {
-					continue
-				}
-			}
-			axpy(aki, dst.Row(i)[lo:hi], br[lo:hi])
+			axpy(aki, dst.Row(i)[c0:c1], bt)
 		}
 	}
 }
@@ -253,10 +212,11 @@ func allFinite(x []float32) bool {
 
 // MatMulABT computes dst = a @ bᵀ. Shapes: a is m x k, b is n x k,
 // dst is m x n. Used by backward passes (input gradients) and by the
-// output-embedding logits (hidden @ embeddingᵀ).
+// output-embedding logits (hidden @ embeddingᵀ). Every element equals
+// Dot(a.Row(i), b.Row(j)) bit for bit. It runs the same kernel as
+// MatMulABTStream.
 func MatMulABT(dst, a, b *Matrix) {
-	checkMatMulABT(dst, a, b)
-	matMulABTRows(dst, a, b, 0, a.Rows)
+	MatMulABTStream(dst, a, b)
 }
 
 func checkMatMulABT(dst, a, b *Matrix) {
@@ -266,88 +226,40 @@ func checkMatMulABT(dst, a, b *Matrix) {
 	}
 }
 
-// matMulABTRows is the MatMulABT kernel over dst rows [lo, hi). Every
-// element is an independent full-length Dot, so any partition of rows or
-// columns is trivially bit-identical to the serial pass.
-func matMulABTRows(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		ar := a.Row(i)
-		dr := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			dr[j] = Dot(ar, b.Row(j))
-		}
-	}
-}
-
-// matMulABTCols is the MatMulABT kernel over dst columns [lo, hi) — b rows
-// lo..hi — used when a has too few rows to split (a small serving batch
-// against a V×D embedding).
-func matMulABTCols(dst, a, b *Matrix, lo, hi int) {
-	for i := 0; i < a.Rows; i++ {
-		ar := a.Row(i)
-		dr := dst.Row(i)
-		for j := lo; j < hi; j++ {
-			dr[j] = Dot(ar, b.Row(j))
-		}
-	}
-}
-
-// MatMulABTStream computes dst = a @ bᵀ exactly like MatMulABT but blocks
-// a's rows two at a time, so each loaded b element feeds two output rows.
-// This is the batched-inference kernel: a is the B×D batch of activations,
-// b a weight or embedding matrix shared by the whole batch, and the row
-// blocking is where batched serving earns its throughput — the per-row Dot
-// is load-port bound (two loads per multiply-add), while dot2 amortizes
-// the b loads across the pair (two-row blocking measures ~40% faster here;
-// wider blocks spill float registers and lose it again). Every output
-// element is accumulated in exactly Dot's order (four strided partials,
-// pairwise combine, sequential tail), so results are bit-identical to
-// MatMulABT — and a batch row computes the same bits it would in a batch
-// of one, the serving layer's correctness contract.
+// MatMulABTStream computes dst = a @ bᵀ, blocking a's rows two at a time so
+// each loaded b element feeds two output rows. This is the batched-inference
+// kernel: a is the B×D batch of activations, b a weight or embedding matrix
+// shared by the whole batch, and the row blocking is where batched serving
+// earns its throughput — a per-row Dot is load-port bound (two loads per
+// multiply-add), while dot2 amortizes the b loads across the pair (two-row
+// blocking measures ~40% faster here; wider blocks spill float registers
+// and lose it again). Every output element is accumulated in exactly Dot's
+// order (four strided partials, pairwise combine, sequential tail), so a
+// batch row computes the same bits it would in a batch of one, the serving
+// layer's correctness contract.
 func MatMulABTStream(dst, a, b *Matrix) {
 	checkMatMulABT(dst, a, b)
-	matMulABTStreamRows(dst, a, b, 0, a.Rows)
+	matMulABTTile(dst, a, b, 0, dst.Rows, 0, dst.Cols)
 }
 
-// matMulABTStreamRows is the MatMulABTStream kernel over dst rows [lo, hi).
-// Because dot2 computes each row's result bit-identically to Dot, the
-// pairing of a's rows never changes any value — any row range produces the
-// same bits as MatMulABT. (The parallel backend still aligns tile starts to
-// even rows so the two-row blocking keeps its throughput.)
-func matMulABTStreamRows(dst, a, b *Matrix, lo, hi int) {
-	n := dst.Cols
-	i := lo
-	for ; i+2 <= hi; i += 2 {
+// matMulABTTile is the MatMulABT kernel: rows paired through dot2, an odd
+// last row through Dot. Because dot2 computes each row's result
+// bit-identically to Dot, the pairing of a's rows never changes any value.
+// (The parallel backend still aligns row tiles to even starts so the
+// blocking keeps its throughput.)
+func matMulABTTile(dst, a, b *Matrix, r0, r1, c0, c1 int) {
+	i := r0
+	for ; i+2 <= r1; i += 2 {
 		a0, a1 := a.Row(i), a.Row(i+1)
 		d0, d1 := dst.Row(i), dst.Row(i+1)
-		for j := 0; j < n; j++ {
+		for j := c0; j < c1; j++ {
 			d0[j], d1[j] = dot2(a0, a1, b.Row(j))
 		}
 	}
-	if i < hi {
+	if i < r1 {
 		ar := a.Row(i)
 		dr := dst.Row(i)
-		for j := 0; j < n; j++ {
-			dr[j] = Dot(ar, b.Row(j))
-		}
-	}
-}
-
-// matMulABTStreamCols is the MatMulABTStream kernel over dst columns
-// [lo, hi): the full two-row blocking over a, restricted to b rows lo..hi.
-func matMulABTStreamCols(dst, a, b *Matrix, lo, hi int) {
-	i := 0
-	for ; i+2 <= a.Rows; i += 2 {
-		a0, a1 := a.Row(i), a.Row(i+1)
-		d0, d1 := dst.Row(i), dst.Row(i+1)
-		for j := lo; j < hi; j++ {
-			d0[j], d1[j] = dot2(a0, a1, b.Row(j))
-		}
-	}
-	if i < a.Rows {
-		ar := a.Row(i)
-		dr := dst.Row(i)
-		for j := lo; j < hi; j++ {
+		for j := c0; j < c1; j++ {
 			dr[j] = Dot(ar, b.Row(j))
 		}
 	}

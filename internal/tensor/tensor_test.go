@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -36,6 +37,19 @@ func naiveMatMul(a, b *Matrix, ta, tb bool) *Matrix {
 				sum += get(a, ta, i, k) * get(b, tb, k, j)
 			}
 			out.Set(i, j, sum)
+		}
+	}
+	return out
+}
+
+// dotABT is the bit-exact a @ bᵀ reference: every element is an
+// independent Dot, with no row pairing, so it shares no code with the
+// dot2 kernel behind MatMulABT and MatMulABTStream.
+func dotABT(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Rows, b.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			out.Set(i, j, Dot(a.Row(i), b.Row(j)))
 		}
 	}
 	return out
@@ -265,23 +279,23 @@ func TestRowIsView(t *testing.T) {
 	}
 }
 
-// TestMatMulABTStreamBitIdentical: the streaming traversal must produce the
-// exact float32 bit pattern of MatMulABT for every shape — the batched
-// inference path's correctness contract rides on this.
+// TestMatMulABTStreamBitIdentical: both a @ bᵀ entry points must produce
+// the exact float32 bit pattern of a per-element Dot for every shape — the
+// batched inference path's correctness contract rides on this.
 func TestMatMulABTStreamBitIdentical(t *testing.T) {
 	r := rng.New(11)
 	for _, shape := range [][3]int{{1, 16, 7}, {3, 5, 9}, {8, 33, 100}, {16, 64, 257}} {
 		m, k, n := shape[0], shape[1], shape[2]
 		a := randMatrix(r, m, k)
 		b := randMatrix(r, n, k)
-		want := NewMatrix(m, n)
-		got := NewMatrix(m, n)
-		MatMulABT(want, a, b)
-		MatMulABTStream(got, a, b)
-		for i := range want.Data {
-			if want.Data[i] != got.Data[i] {
-				t.Fatalf("shape %v: element %d differs: %v vs %v", shape, i, want.Data[i], got.Data[i])
-			}
+		want := dotABT(a, b)
+		for name, kernel := range map[string]func(dst, a, b *Matrix){
+			"MatMulABT":       MatMulABT,
+			"MatMulABTStream": MatMulABTStream,
+		} {
+			got := NewMatrix(m, n)
+			kernel(got, a, b)
+			bitsEqual(t, fmt.Sprintf("%s shape %v", name, shape), got, want)
 		}
 	}
 }
