@@ -50,7 +50,6 @@ import (
 
 	"zipflm/internal/ckpt"
 	"zipflm/internal/corpus"
-	"zipflm/internal/dash"
 	"zipflm/internal/metrics"
 	"zipflm/internal/model"
 	"zipflm/internal/sampling"
@@ -75,7 +74,6 @@ func main() {
 		draftK    = flag.Int("draft-k", 4, "speculative lookahead tokens per round (with -draft)")
 		watch     = flag.Duration("watch", 0, "poll the -model checkpoint directory at this interval and hot-reload new checkpoints (0 disables)")
 		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof profiling endpoints on this address (empty disables)")
-		dashboard = flag.Bool("dashboard", false, "render a live ANSI dashboard of the in-process registry on stdout (same renderer as zipflm-top)")
 		histCap   = flag.Int("history", telemetry.DefaultHistorySamples, "in-process metrics-history ring capacity, sampled every -history-interval and served at /metrics/history (0 disables)")
 		histEvery = flag.Duration("history-interval", telemetry.DefaultHistoryInterval, "metrics-history sampling interval")
 		profDir   = flag.String("profile-dir", "", "continuously capture CPU+heap pprof profiles into this directory on -profile-interval, indexed by profiles.json (empty disables)")
@@ -161,9 +159,8 @@ func main() {
 	defer writeTrace(tracer, *tracePath)
 
 	// The performance observatory: periodic registry sampling into a ring
-	// (served at /metrics/history), scheduled pprof capture, and the live
-	// in-process dashboard. All three only read instruments — generated
-	// tokens are bit-identical with every one of them enabled.
+	// (served at /metrics/history) and scheduled pprof capture. Both only read instruments — generated
+	// tokens are bit-identical with either enabled.
 	var history *telemetry.History
 	if *histCap > 0 {
 		history = telemetry.NewHistory(reg, telemetry.HistoryConfig{Capacity: *histCap, Interval: *histEvery})
@@ -177,11 +174,6 @@ func main() {
 		prof.Start()
 		defer prof.Stop()
 		fmt.Fprintf(os.Stderr, "zipflm-serve: profiling to %s every %s\n", *profDir, *profEvery)
-	}
-	if *dashboard {
-		stopDash := make(chan struct{})
-		defer close(stopDash)
-		go dash.Run(os.Stdout, "zipflm-serve "+*addr, time.Second, dash.DefaultWidth, true, reg.Snapshot, stopDash)
 	}
 
 	if *debugAddr != "" {

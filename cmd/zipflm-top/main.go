@@ -13,9 +13,7 @@
 //	zipflm-top -addr localhost:9090
 //
 // -once polls two samples one interval apart, prints a single plain-text
-// frame, and exits — the CI smoke mode. The same renderer backs the
-// -dashboard flag on zipflm-serve and zipflm-train, which reads the
-// in-process registry instead of polling HTTP.
+// frame, and exits — the CI smoke mode.
 package main
 
 import (

@@ -27,7 +27,6 @@ import (
 	"zipflm/internal/compress"
 	"zipflm/internal/core"
 	"zipflm/internal/corpus"
-	"zipflm/internal/dash"
 	"zipflm/internal/half"
 	"zipflm/internal/metrics"
 	"zipflm/internal/model"
@@ -76,7 +75,6 @@ func main() {
 		metricsAt = flag.String("metrics-addr", "", "serve Prometheus /metrics on this address during training (empty disables)")
 		tracePath = flag.String("trace", "", "write a Chrome trace_event JSON timeline to this file on exit (empty disables)")
 		flightCap = flag.Int("flight", telemetry.DefaultFlightEvents, "flight-recorder ring capacity; dumped on fault rollback or SIGQUIT (0 disables)")
-		dashboard = flag.Bool("dashboard", false, "render a live ANSI dashboard of training telemetry on stderr (stdout keeps the tables)")
 		histPath  = flag.String("history", "", "sample the telemetry registry every -history-interval into a ring and write the series as JSON to this file on exit")
 		histEvery = flag.Duration("history-interval", telemetry.DefaultHistoryInterval, "metrics-history sampling interval (with -history)")
 		profDir   = flag.String("profile-dir", "", "continuously capture CPU+heap pprof profiles into this directory on -profile-interval, indexed by profiles.json")
@@ -171,7 +169,7 @@ func main() {
 	}
 
 	var tracer *telemetry.Tracer
-	if *metricsAt != "" || *tracePath != "" || *dashboard || *histPath != "" {
+	if *metricsAt != "" || *tracePath != "" || *histPath != "" {
 		cfg.Telemetry = telemetry.NewRegistry()
 	}
 	if cfg.Telemetry != nil {
@@ -198,10 +196,9 @@ func main() {
 	}
 
 	// The performance observatory: metrics history on both clocks (the
-	// virtual axis reads the simulated cluster's clock gauge), scheduled
-	// pprof capture, and the live dashboard on stderr. Purely
-	// observational — losses and weights are bit-identical with all of
-	// them enabled.
+	// virtual axis reads the simulated cluster's clock gauge) and scheduled
+	// pprof capture. Purely observational — losses and weights are
+	// bit-identical with both enabled.
 	var history *telemetry.History
 	if *histPath != "" {
 		simClock := cfg.Telemetry.Gauge("zipflm_train_sim_seconds")
@@ -234,11 +231,6 @@ func main() {
 		prof.Start()
 		defer prof.Stop()
 		fmt.Fprintf(os.Stderr, "zipflm-train: profiling to %s every %s\n", *profDir, *profEvery)
-	}
-	if *dashboard {
-		stopDash := make(chan struct{})
-		defer close(stopDash)
-		go dash.Run(os.Stderr, "zipflm-train", time.Second, dash.DefaultWidth, true, cfg.Telemetry.Snapshot, stopDash)
 	}
 
 	var tr *trainer.Trainer

@@ -1,16 +1,13 @@
 // Package dash renders a live terminal dashboard over the telemetry
 // layer: successive registry snapshots become windowed rates and trends,
 // drawn as aligned rows with Unicode sparklines using nothing but ANSI
-// escapes — no terminal library, no dependencies. The same Board backs
-// cmd/zipflm-top (polling a remote /metrics endpoint's JSON snapshot)
-// and the -dashboard flags on zipflm-serve and zipflm-train (reading the
-// in-process registry), because both produce the one input the board
-// consumes: a telemetry.Snapshot per tick.
+// escapes — no terminal library, no dependencies. cmd/zipflm-top drives
+// the Board by polling any process's /metrics endpoint for its JSON
+// snapshot: one telemetry.Snapshot per tick is the only input it consumes.
 package dash
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"time"
@@ -311,29 +308,5 @@ func formatValue(v float64) string {
 		return fmt.Sprintf("%.2f", v)
 	default:
 		return fmt.Sprintf("%.4f", v)
-	}
-}
-
-// Run drives a board from src until stop closes: one Observe+Frame per
-// interval, frames written to w (ANSI in-place when ansi). It is the
-// in-process dashboard loop behind the -dashboard flags; zipflm-top runs
-// the same shape with an HTTP poll as src.
-func Run(w io.Writer, title string, interval time.Duration, width int, ansi bool, src func() telemetry.Snapshot, stop <-chan struct{}) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	b := New(width)
-	b.Observe(time.Now(), src())
-	fmt.Fprint(w, b.Frame(title, ansi))
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case now := <-t.C:
-			b.Observe(now, src())
-			fmt.Fprint(w, b.Frame(title, ansi))
-		}
 	}
 }

@@ -162,7 +162,7 @@ func runAblSeed(opts Options) (*Report, error) {
 	for _, g := range []int{8, 16, 64, 192} {
 		row := []string{fmt.Sprint(g)}
 		for _, s := range strategies {
-			_, _, _, ugOut := measuredUnique(w, g, s, opts.Seed)
+			_, _, _, ugOut := drawStep(w, g, s, opts.Seed).counts()
 			row = append(row, fmt.Sprint(ugOut))
 		}
 		tab.AddRow(row...)

@@ -8,10 +8,14 @@
 //   - Scaling/memory experiments (tab3, tab4, tab5 time columns, fig6, mem)
 //     run the *index-level* workload at full paper scale — real Zipf token
 //     draws, real sampled-softmax candidate draws, real unique-merging
-//     through the same code paths the exchange engines use — and evaluate
-//     the D-dependent byte/FLOP volumes through the closed-form cost model
-//     (validated against measured exchanges in internal/core's tests) and
-//     the calibrated perfmodel hardware model.
+//     through the same code paths the exchange engines use — and price one
+//     step in closed form (stepCost): each collective the engines issue,
+//     the compute and the embedding update go through the same perfmodel
+//     primitives (LinkCost, ComputeSeconds, MemorySeconds) the virtual
+//     clock charges online. weakscale and compress run that step online
+//     instead; at word-LM scale the two agree to 1e-9
+//     (TestClosedFormMatchesVirtualClock), and the char and Tieba tables,
+//     too large to run online, use the closed form alone.
 //
 //   - Accuracy experiments (fig5, fig7, fig8, tab5 perplexity column, bpc)
 //     run real distributed training of scaled-down models over the

@@ -125,8 +125,7 @@ func TestTab3ReproducesShape(t *testing.T) {
 	// Paper's "ours" hours within 15%.
 	paper := map[int]float64{8: 14.6, 16: 8.1, 24: 6.4, 32: 5.4, 64: 4.5}
 	for g, want := range paper {
-		cost := stepCost(w, g, stackCompressed, 42)
-		got := hw.EpochTime(g, w.K, w.TokensPerEpoch, cost)
+		got := epochHours(stepCost(w, g, stackCompressed, 42).stepSec, g, w.K, w.TokensPerEpoch)
 		if got < want*0.85 || got > want*1.15 {
 			t.Errorf("ours at %d GPUs: model %.1f h, paper %.1f h", g, got, want)
 		}
@@ -134,8 +133,8 @@ func TestTab3ReproducesShape(t *testing.T) {
 
 	// Baseline is dramatically slower than ours at every runnable size.
 	for _, g := range []int{8, 16, 24} {
-		base := hw.EpochTime(g, w.K, w.TokensPerEpoch, stepCost(w, g, stackBaseline, 42))
-		ours := hw.EpochTime(g, w.K, w.TokensPerEpoch, stepCost(w, g, stackCompressed, 42))
+		base := epochHours(stepCost(w, g, stackBaseline, 42).stepSec, g, w.K, w.TokensPerEpoch)
+		ours := epochHours(stepCost(w, g, stackCompressed, 42).stepSec, g, w.K, w.TokensPerEpoch)
 		if base < 2*ours {
 			t.Errorf("at %d GPUs baseline %.1f h not well above ours %.1f h", g, base, ours)
 		}
@@ -158,14 +157,14 @@ func TestTab4ReproducesShape(t *testing.T) {
 	}
 	paper := map[int]float64{8: 23.2, 16: 12.9, 24: 8.2, 32: 6.8, 64: 3.5}
 	for g, want := range paper {
-		got := hw.EpochTime(g, w.K, w.TokensPerEpoch, stepCost(w, g, stackCompressed, 42))
+		got := epochHours(stepCost(w, g, stackCompressed, 42).stepSec, g, w.K, w.TokensPerEpoch)
 		if got < want*0.8 || got > want*1.2 {
 			t.Errorf("char ours at %d GPUs: model %.1f h, paper %.1f h", g, got, want)
 		}
 	}
 	// §V-B headline: 6.6× speedup with 8× more GPUs.
-	s8 := hw.EpochTime(8, w.K, w.TokensPerEpoch, stepCost(w, 8, stackCompressed, 42))
-	s64 := hw.EpochTime(64, w.K, w.TokensPerEpoch, stepCost(w, 64, stackCompressed, 42))
+	s8 := epochHours(stepCost(w, 8, stackCompressed, 42).stepSec, 8, w.K, w.TokensPerEpoch)
+	s64 := epochHours(stepCost(w, 64, stackCompressed, 42).stepSec, 64, w.K, w.TokensPerEpoch)
 	if sp := s8 / s64; sp < 6.0 || sp > 7.3 {
 		t.Errorf("char speedup = %.1f×, paper says 6.6×", sp)
 	}
@@ -175,12 +174,11 @@ func TestTab4ReproducesShape(t *testing.T) {
 // uniqueness dominates, as in the paper's bars.
 func TestFig6LadderMonotone(t *testing.T) {
 	w := wordLM()
-	hw := w.hardware()
 	for _, g := range []int{16, 24} {
 		var prevSpeedup float64
-		base := hw.EpochTime(g, w.K, w.TokensPerEpoch, stepCost(w, g, stackBaseline, 42))
+		base := epochHours(stepCost(w, g, stackBaseline, 42).stepSec, g, w.K, w.TokensPerEpoch)
 		for _, stack := range []stackKind{stackBaseline, stackUnique, stackSeeded, stackCompressed} {
-			hours := hw.EpochTime(g, w.K, w.TokensPerEpoch, stepCost(w, g, stack, 42))
+			hours := epochHours(stepCost(w, g, stack, 42).stepSec, g, w.K, w.TokensPerEpoch)
 			speedup := base / hours
 			if speedup+1e-9 < prevSpeedup {
 				t.Errorf("g=%d: %v regressed (%.2f after %.2f)", g, stack, speedup, prevSpeedup)
@@ -188,15 +186,15 @@ func TestFig6LadderMonotone(t *testing.T) {
 			prevSpeedup = speedup
 		}
 		// Uniqueness alone contributes several-fold.
-		uniq := base / hw.EpochTime(g, w.K, w.TokensPerEpoch, stepCost(w, g, stackUnique, 42))
+		uniq := base / epochHours(stepCost(w, g, stackUnique, 42).stepSec, g, w.K, w.TokensPerEpoch)
 		if uniq < 3 {
 			t.Errorf("g=%d: uniqueness speedup %.1f, paper says ≥4×", g, uniq)
 		}
 	}
 	// 24-GPU total beats 16-GPU total (paper: 6.3 vs 5.1).
 	s := func(g int) float64 {
-		return hw.EpochTime(g, w.K, w.TokensPerEpoch, stepCost(w, g, stackBaseline, 42)) /
-			hw.EpochTime(g, w.K, w.TokensPerEpoch, stepCost(w, g, stackCompressed, 42))
+		return epochHours(stepCost(w, g, stackBaseline, 42).stepSec, g, w.K, w.TokensPerEpoch) /
+			epochHours(stepCost(w, g, stackCompressed, 42).stepSec, g, w.K, w.TokensPerEpoch)
 	}
 	if s(24) <= s(16) {
 		t.Errorf("total speedup must grow with G: %.1f at 16 vs %.1f at 24", s(16), s(24))
@@ -232,7 +230,7 @@ func TestTab5TimeModel(t *testing.T) {
 	w := tiebaLM()
 	hw := w.hardware()
 	hours := func(g int, chars float64) float64 {
-		return hw.EpochTime(g, w.K, int64(chars*1e9), stepCost(w, g, stackCompressed, 42))
+		return epochHours(stepCost(w, g, stackCompressed, 42).stepSec, g, w.K, int64(chars*1e9))
 	}
 	h6 := hours(6, 1.07)
 	h24 := hours(24, 4.29)
@@ -248,7 +246,7 @@ func TestTab5TimeModel(t *testing.T) {
 	}
 	// Aggregate compute throughput ≈ 0.76 PFLOP/s on 192 GPUs (the
 	// paper's figure measures the kernels, not the synchronization gaps).
-	computeSec := w.FLOPsPerStep / (hw.PeakFLOPS * w.AchievedFrac)
+	computeSec := hw.ComputeSeconds(w.FLOPsPerStep, w.AchievedFrac)
 	pflops := 192 * w.FLOPsPerStep / computeSec / 1e15
 	if pflops < 0.68 || pflops > 0.84 {
 		t.Errorf("aggregate compute throughput %.2f PFLOP/s, paper 0.76", pflops)
@@ -277,9 +275,9 @@ func TestTab5Training(t *testing.T) {
 func TestSeedingMeasuredUnique(t *testing.T) {
 	w := wordLM()
 	const g = 64
-	_, _, _, ugDiff := measuredUnique(w, g, sampling.AllDifferent, 42)
-	_, _, _, ugZipf := measuredUnique(w, g, sampling.ZipfFreq, 42)
-	_, _, _, ugSame := measuredUnique(w, g, sampling.AllSame, 42)
+	_, _, _, ugDiff := drawStep(w, g, sampling.AllDifferent, 42).counts()
+	_, _, _, ugZipf := drawStep(w, g, sampling.ZipfFreq, 42).counts()
+	_, _, _, ugSame := drawStep(w, g, sampling.AllSame, 42).counts()
 	if !(ugSame < ugZipf && ugZipf < ugDiff) {
 		t.Errorf("unique ordering broken: same=%d zipf=%d diff=%d", ugSame, ugZipf, ugDiff)
 	}

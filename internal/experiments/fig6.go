@@ -15,7 +15,6 @@ func init() {
 // +compression) at 16 and 24 GPUs, expressed as speedup over the baseline.
 func runFig6(opts Options) (*Report, error) {
 	w := wordLM()
-	hw := w.hardware()
 
 	// Paper's Figure 6 bars.
 	paper := map[int]map[stackKind]float64{
@@ -27,12 +26,10 @@ func runFig6(opts Options) (*Report, error) {
 		"GPUs", "stack", "speedup (paper)", "speedup (model)", "epoch hrs (model)")
 	notes := []string{}
 	for _, g := range []int{16, 24} {
-		baseCost := stepCost(w, g, stackBaseline, opts.Seed)
-		baseHours := hw.EpochTime(g, w.K, w.TokensPerEpoch, baseCost)
+		baseHours := epochHours(stepCost(w, g, stackBaseline, opts.Seed).stepSec, g, w.K, w.TokensPerEpoch)
 		prev := 0.0
 		for _, stack := range []stackKind{stackBaseline, stackUnique, stackSeeded, stackCompressed} {
-			cost := stepCost(w, g, stack, opts.Seed)
-			hours := hw.EpochTime(g, w.K, w.TokensPerEpoch, cost)
+			hours := epochHours(stepCost(w, g, stack, opts.Seed).stepSec, g, w.K, w.TokensPerEpoch)
 			speedup := baseHours / hours
 			tab.AddRow(fmt.Sprintf("%d", g), stack.String(),
 				fmt.Sprintf("%.1f", paper[g][stack]),

@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"zipflm/internal/metrics"
-	"zipflm/internal/perfmodel"
 )
 
 func init() {
@@ -54,7 +53,7 @@ func runScaling(w scalingWorkload, paper paperScaling, opts Options) (*Report, e
 		"base hrs (paper)", "base hrs (model)", "base eff",
 		"ours hrs (paper)", "ours hrs (model)", "ours eff")
 
-	var baseRefBase, baseRefOurs float64
+	var baseRefBase, baseRefOurs, oursFirst, oursLast float64
 	notes := []string{}
 	for i, g := range paper.gpus {
 		// Baseline column: OOM when Θ(G·K·D) scratch exceeds the 12 GB
@@ -63,8 +62,7 @@ func runScaling(w scalingWorkload, paper paperScaling, opts Options) (*Report, e
 		mem := peakMemory(w, g, stackBaseline, opts.Seed)
 		var baseHours float64
 		if mem <= hw.MemBytes {
-			cost := stepCost(w, g, stackBaseline, opts.Seed)
-			baseHours = hw.EpochTime(g, w.K, w.TokensPerEpoch, cost)
+			baseHours = epochHours(stepCost(w, g, stackBaseline, opts.Seed).stepSec, g, w.K, w.TokensPerEpoch)
 			if baseRefBase == 0 {
 				baseRefBase = baseHours * float64(g)
 			}
@@ -72,11 +70,12 @@ func runScaling(w scalingWorkload, paper paperScaling, opts Options) (*Report, e
 			baseEff = fmt.Sprintf("%.0f%%", 100*baseRefBase/(baseHours*float64(g)))
 		}
 
-		cost := stepCost(w, g, stackCompressed, opts.Seed)
-		oursHours := hw.EpochTime(g, w.K, w.TokensPerEpoch, cost)
+		oursHours := epochHours(stepCost(w, g, stackCompressed, opts.Seed).stepSec, g, w.K, w.TokensPerEpoch)
 		if baseRefOurs == 0 {
 			baseRefOurs = oursHours * float64(g)
+			oursFirst = oursHours
 		}
+		oursLast = oursHours
 		oursEff := fmt.Sprintf("%.0f%%", 100*baseRefOurs/(oursHours*float64(g)))
 
 		paperBase := "*(OOM)"
@@ -97,14 +96,9 @@ func runScaling(w scalingWorkload, paper paperScaling, opts Options) (*Report, e
 	}
 
 	first, last := paper.gpus[0], paper.gpus[len(paper.gpus)-1]
-	costFirst := stepCost(w, first, stackCompressed, opts.Seed)
-	costLast := stepCost(w, last, stackCompressed, opts.Seed)
-	speedup := perfmodel.Speedup(
-		hw.EpochTime(first, w.K, w.TokensPerEpoch, costFirst),
-		hw.EpochTime(last, w.K, w.TokensPerEpoch, costLast))
 	notes = append(notes, fmt.Sprintf(
 		"model speedup %d→%d GPUs: %.1f× (paper: %.1f× word / %.1f× char with 8× more GPUs)",
-		first, last, speedup, 14.6/4.5, 23.2/3.5))
+		first, last, oursFirst/oursLast, 14.6/4.5, 23.2/3.5))
 
 	return &Report{Tables: []*metrics.Table{tab}, Notes: notes}, nil
 }

@@ -27,7 +27,6 @@ func init() {
 //     more GPUs at nearly constant wall-clock buys a large accuracy win.
 func runTab5(opts Options) (*Report, error) {
 	w := tiebaLM()
-	hw := w.hardware()
 
 	type row struct {
 		chars float64 // billions
@@ -47,9 +46,8 @@ func runTab5(opts Options) (*Report, error) {
 		"Chars (B)", "Corpus", "GPUs", "Batch", "hrs (paper)", "hrs (model)", "time vs 6-GPU")
 	var baseHours float64
 	for _, r := range paper {
-		cost := stepCost(w, r.gpus, stackCompressed, opts.Seed)
-		tokens := int64(r.chars * 1e9)
-		hours := hw.EpochTime(r.gpus, w.K, tokens, cost)
+		step := stepCost(w, r.gpus, stackCompressed, opts.Seed).stepSec
+		hours := epochHours(step, r.gpus, w.K, int64(r.chars*1e9))
 		if baseHours == 0 {
 			baseHours = hours
 		}

@@ -11,8 +11,6 @@ import (
 	"zipflm/internal/half"
 	"zipflm/internal/metrics"
 	"zipflm/internal/perfmodel"
-	"zipflm/internal/rng"
-	"zipflm/internal/sampling"
 	"zipflm/internal/tensor"
 )
 
@@ -31,7 +29,9 @@ func init() {
 // the baseline ALLGATHER becomes communication/update-bound and then hits
 // the 12 GB memory wall, while the uniqueness exchange stays near-flat.
 
-// weakRun is one engine's simulated synchronous step at scale G.
+// weakRun is one engine's synchronous step at scale G, priced online by
+// runWeakStepPriced or in closed form by stepCost (which leaves oom and
+// sparseWire zero).
 type weakRun struct {
 	// oom is true when the exchange aborted on the device budget (the
 	// paper's "*" rows).
@@ -86,41 +86,18 @@ func runWeakStepPriced(w scalingWorkload, g int, baseline, unlimitedMem bool, se
 
 	// Engine stack: the baseline is the §II-B ALLGATHER with per-rank
 	// sampler seeds and FP32 wire; "ours" is the full §III stack —
-	// uniqueness + Zipf's-law seeding + FP16 compression.
+	// uniqueness + Zipf's-law seeding + FP16 compression — on the same
+	// draw the closed-form pricing reads.
 	var ex core.Exchanger = core.BaselineAllGather{}
-	strat := sampling.AllDifferent
+	stack := stackBaseline
 	var wire collective.Wire
 	if !baseline {
 		ex = core.UniqueExchange{}
-		strat = sampling.ZipfFreq
+		stack = stackCompressed
 		wire = half.NewScaler(512)
 	}
-
-	// The same token/candidate draws the offline cost model measures
-	// (workloads.go), so unique structure matches across experiments.
-	root := rng.New(seed)
-	inIdx := make([][]int, g)
-	for r := 0; r < g; r++ {
-		z := rng.NewZipf(root.Fork(), w.Vocab, w.ZipfExponent)
-		toks := make([]int, w.K)
-		for i := range toks {
-			toks[i] = z.Next()
-		}
-		inIdx[r] = toks
-	}
-	var outIdx [][]int
-	maxKc := 0
-	if w.Samples > 0 {
-		seeds := sampling.Assign(strat, g, seed+1)
-		outIdx = make([][]int, g)
-		for r := 0; r < g; r++ {
-			s := sampling.NewSampler(w.Vocab, seeds[r])
-			outIdx[r] = s.Sample(w.Samples, inIdx[r])
-			if len(outIdx[r]) > maxKc {
-				maxKc = len(outIdx[r])
-			}
-		}
-	}
+	draw := drawStep(w, g, stack.strategy(), seed)
+	_, _, maxKc, _ := draw.counts()
 
 	// Phase: sparse exchanges, online. Gradient values are irrelevant to
 	// cost, so rows stay zero; bytes, scratch and virtual time are real.
@@ -129,14 +106,14 @@ func runWeakStepPriced(w scalingWorkload, g int, baseline, unlimitedMem bool, se
 	err := clu.Run(func(rank int, dev *cluster.Device) error {
 		ctx := &core.Ctx{Rank: rank, Comm: comm, Dev: dev, Wire: wire, WS: core.NewWorkspace()}
 		_, st, err := ex.Exchange(ctx, core.SparseGrad{
-			Indices: inIdx[rank],
-			Rows:    tensor.NewMatrix(len(inIdx[rank]), w.D),
+			Indices: draw.in[rank],
+			Rows:    tensor.NewMatrix(len(draw.in[rank]), w.D),
 		})
 		if err != nil {
 			return err
 		}
 		inStats[rank] = st
-		if outIdx != nil {
+		if draw.out != nil {
 			// In the TF-1.4 step graph both embeddings' gathered blocks
 			// are resident at once: keep the input exchange's scratch
 			// accounted while the output exchange runs, with the same
@@ -154,8 +131,8 @@ func runWeakStepPriced(w scalingWorkload, g int, baseline, unlimitedMem bool, se
 			defer dev.Free(hold)
 			stOut, err := func() (core.Stats, error) {
 				_, st, err := ex.Exchange(ctx, core.SparseGrad{
-					Indices: outIdx[rank],
-					Rows:    tensor.NewMatrix(len(outIdx[rank]), w.D),
+					Indices: draw.out[rank],
+					Rows:    tensor.NewMatrix(len(draw.out[rank]), w.D),
 				})
 				return st, err
 			}()
@@ -184,15 +161,11 @@ func runWeakStepPriced(w scalingWorkload, g int, baseline, unlimitedMem bool, se
 	// Phase: dense RNN/projection gradients — accounted, not materialized:
 	// the ring all-reduce of DenseParams elements charges the same clocks
 	// through the same link model the live collectives used.
+	denseSec := link.RingAllReduceSeconds(g, int(w.DenseParams), stack.elemBytes())
 	if dense != nil {
-		cm.Charge(dense(link, g, w.DenseParams))
-	} else {
-		es := 4
-		if wire != nil {
-			es = 2
-		}
-		cm.Charge(link.RingAllReduceSeconds(g, int(w.DenseParams), es))
+		denseSec = dense(link, g, w.DenseParams)
 	}
+	cm.Charge(denseSec)
 	run.commSec = clu.MaxClock()
 
 	// Phase: forward/backward compute at the workload's achieved fraction
@@ -203,25 +176,9 @@ func runWeakStepPriced(w scalingWorkload, g int, baseline, unlimitedMem bool, se
 	afterCompute := clu.MaxClock()
 	run.computeSec = afterCompute - run.commSec
 
-	// Phase: embedding update. The baseline scatter-adds all G·K (+ G·Kc)
-	// token rows under §II-B row locking at the staged update bandwidth;
-	// the unique engines apply one conflict-free row per unique word at
-	// device bandwidth.
-	var rows int64
-	ser := 1.0
-	if baseline {
-		rows = int64(g) * int64(w.K)
-		if w.Samples > 0 {
-			rows += int64(g) * int64(maxKc)
-		}
-		if w.DupSerialization && run.ugIn > 0 {
-			ser = float64(int64(g)*int64(w.K)) / float64(run.ugIn)
-		}
-		ser *= hw.MemBW / w.updateBW(g)
-	} else {
-		rows = int64(run.ugIn) + int64(run.ugOut)
-	}
-	updateBytes := int64(float64(2*rows*int64(w.D)*4) * ser)
+	// Phase: embedding update (see updateBytes for the §II-B / §III-A
+	// policy).
+	updateBytes := w.updateBytes(g, baseline, run.ugIn, run.ugOut, maxKc)
 	for _, dev := range clu.Devices {
 		dev.AdvanceMemory(updateBytes, hw)
 	}
@@ -231,7 +188,7 @@ func runWeakStepPriced(w scalingWorkload, g int, baseline, unlimitedMem bool, se
 	// calibrate an additional quadratic TF-coordination term; weak scaling
 	// holds per-rank work fixed, so only the base (+ linear) overhead
 	// applies here.
-	run.overheadSec = w.OverheadBase + w.OverheadLin*float64(g)
+	run.overheadSec = w.overheadSec(g)
 	cm.Charge(run.overheadSec)
 
 	run.stepSec = clu.MaxClock()
@@ -320,7 +277,7 @@ func runWeakScale(opts Options) (*Report, error) {
 				fmt.Sprintf("%.1f", run.computeSec*1e3),
 				fmt.Sprintf("%.1f", run.updateSec*1e3),
 				fmt.Sprintf("%.3f", run.stepSec),
-				fmt.Sprintf("%.1f", stepsPerEpoch*run.stepSec/3600),
+				fmt.Sprintf("%.1f", epochHours(run.stepSec, anchor, w.K, w.TokensPerEpoch)),
 				fmt.Sprintf("%.2fx", run.stepSec/anchorStep[ei]),
 			)
 		}
@@ -329,7 +286,7 @@ func runWeakScale(opts Options) (*Report, error) {
 	// Anchor check: the predicted epoch hours at the paper's 8-GPU word-LM
 	// configuration must sit on the Table III calibration.
 	if !opts.Quick && anchorStep[1] > 0 {
-		hours := stepsPerEpoch * anchorStep[1] / 3600
+		hours := epochHours(anchorStep[1], anchor, w.K, w.TokensPerEpoch)
 		notes = append(notes, fmt.Sprintf(
 			"anchor: predicted %d-GPU epoch = %.1f h online (Table III calibration: 14.6 h with our technique)",
 			anchor, hours))

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -120,8 +121,7 @@ func TestWeakScaleAnchorCalibration(t *testing.T) {
 	if run.oom {
 		t.Fatal("unique exchange must fit at 8 GPUs")
 	}
-	stepsPerEpoch := float64(w.TokensPerEpoch) / float64(int64(anchor)*int64(w.K))
-	hours := stepsPerEpoch * run.stepSec / 3600
+	hours := epochHours(run.stepSec, anchor, w.K, w.TokensPerEpoch)
 	if hours < 14.6*0.85 || hours > 14.6*1.15 {
 		t.Errorf("online 8-GPU prediction %.2f h off the Table III 14.6 h calibration (step %.4f s)",
 			hours, run.stepSec)
@@ -162,5 +162,49 @@ func TestWeakStepOOMWall(t *testing.T) {
 	}
 	if uniq.stepSec <= 0 {
 		t.Errorf("unique run reported no time: %+v", uniq)
+	}
+}
+
+// TestClosedFormMatchesVirtualClock holds the two pricing paths of one step
+// together at word-LM scale: stepCost's closed form must reproduce the
+// online run's comm, compute and update seconds for both engine stacks —
+// every collective the engines issue priced once, on the same link — and
+// its overhead must exceed the online run's by exactly the strong-scaling
+// OverheadQuad·G² term, which weak scaling leaves out on purpose.
+func TestClosedFormMatchesVirtualClock(t *testing.T) {
+	w := wordLM()
+	rel := func(a, b float64) float64 {
+		return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
+	}
+	for _, g := range []int{8, 16, 24} {
+		for _, stack := range []stackKind{stackBaseline, stackCompressed} {
+			online, err := runWeakStep(w, g, stack == stackBaseline, true, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			closed := stepCost(w, g, stack, 42)
+			if closed.ugIn != online.ugIn || closed.ugOut != online.ugOut {
+				t.Errorf("G=%d %v: closed-form U_g %d/%d, online %d/%d",
+					g, stack, closed.ugIn, closed.ugOut, online.ugIn, online.ugOut)
+			}
+			for _, p := range []struct {
+				name          string
+				closed, clock float64
+			}{
+				{"comm", closed.commSec, online.commSec},
+				{"compute", closed.computeSec, online.computeSec},
+				{"update", closed.updateSec, online.updateSec},
+			} {
+				if rel(p.closed, p.clock) > 1e-9 {
+					t.Errorf("G=%d %v %s: closed form %.12g s, virtual clock %.12g s (Δ = %.3g α)",
+						g, stack, p.name, p.closed, p.clock, (p.closed-p.clock)/w.hardware().HopLatency)
+				}
+			}
+			quad := w.OverheadQuad * float64(g) * float64(g)
+			if closed.overheadSec != online.overheadSec+quad {
+				t.Errorf("G=%d %v: overhead closed %.12g s, online %.12g s + OverheadQuad·G² %.12g s",
+					g, stack, closed.overheadSec, online.overheadSec, quad)
+			}
+		}
 	}
 }

@@ -195,58 +195,81 @@ func (w scalingWorkload) updateBW(g int) float64 {
 	return w.UpdateBWInter
 }
 
-// measuredUnique draws the real per-rank token streams and sampled-softmax
-// candidate sets for one step at full scale and merges them exactly as the
-// unique exchange does. Returns per-rank locally-unique input counts, the
-// global input unique count, per-rank candidate counts, and the global
-// output unique count under the given seeding strategy.
-func measuredUnique(w scalingWorkload, g int, strat sampling.Strategy, seed uint64) (uiIn []int, ugIn int, candPerRank []int, ugOut int) {
+// overheadSec is the calibrated per-step framework cost at fixed per-rank
+// work: the base (+ linear) term. The strong-scaling tables add the
+// quadratic TF-coordination term OverheadQuad·G² on top (see stepCost).
+func (w scalingWorkload) overheadSec(g int) float64 {
+	return w.OverheadBase + w.OverheadLin*float64(g)
+}
+
+// updateBytes is one step's embedding-update traffic through device memory:
+// a read-modify-write (2×) of every applied FP32 row. The baseline
+// scatter-adds all G·K token rows (+ G·Kc candidate rows, kc the largest
+// per-rank candidate count) under §II-B row locking — serialized by the
+// duplicate ratio G·K/U_g where the workload contends — and runs at the
+// calibrated staged update bandwidth, folded in as a MemBW/updateBW
+// inflation so the traffic prices at device bandwidth. The unique engines
+// apply one conflict-free row per globally unique word (§III-A).
+func (w scalingWorkload) updateBytes(g int, baseline bool, ugIn, ugOut, kc int) int64 {
+	rows := int64(ugIn) + int64(ugOut)
+	ser := 1.0
+	if baseline {
+		rows = int64(g) * int64(w.K+kc)
+		if w.DupSerialization && ugIn > 0 {
+			ser = float64(int64(g)*int64(w.K)) / float64(ugIn)
+		}
+		ser *= w.hardware().MemBW / w.updateBW(g)
+	}
+	return int64(float64(2*rows*int64(w.D)*4) * ser)
+}
+
+// epochHours converts a step time into hours per epoch of tokens tokens at
+// a global batch of g ranks × k tokens.
+func epochHours(stepSec float64, g, k int, tokens int64) float64 {
+	return float64(tokens) / float64(int64(g)*int64(k)) * stepSec / 3600
+}
+
+// stepDraw is one step's index streams at full scale: in[r] holds rank r's
+// K Zipf-drawn input tokens, out[r] its sampled-softmax candidate set (nil
+// for full softmax). The closed-form pricing, the memory model and the
+// online run all read the same draw, so unique structure matches across
+// experiments.
+type stepDraw struct{ in, out [][]int }
+
+// drawStep draws one step's token and candidate streams for g ranks under
+// the given sampler-seed strategy.
+func drawStep(w scalingWorkload, g int, strat sampling.Strategy, seed uint64) stepDraw {
 	root := rng.New(seed)
-	inSets := make([][]int, g)
-	uiIn = make([]int, g)
-	for r := 0; r < g; r++ {
+	d := stepDraw{in: make([][]int, g)}
+	for r := range d.in {
 		z := rng.NewZipf(root.Fork(), w.Vocab, w.ZipfExponent)
 		toks := make([]int, w.K)
 		for i := range toks {
 			toks[i] = z.Next()
 		}
-		inSets[r] = toks
-		uiIn[r] = countUnique(toks)
+		d.in[r] = toks
 	}
-	ugIn = sampling.UniqueAcross(inSets)
-
-	if w.Samples == 0 {
-		return uiIn, ugIn, nil, 0
-	}
-	seeds := sampling.Assign(strat, g, seed+1)
-	outSets := make([][]int, g)
-	candPerRank = make([]int, g)
-	for r := 0; r < g; r++ {
-		s := sampling.NewSampler(w.Vocab, seeds[r])
-		cands := s.Sample(w.Samples, inSets[r])
-		outSets[r] = cands
-		candPerRank[r] = len(cands)
-	}
-	ugOut = sampling.UniqueAcross(outSets)
-	return uiIn, ugIn, candPerRank, ugOut
-}
-
-func countUnique(xs []int) int {
-	seen := make(map[int]struct{}, len(xs))
-	for _, x := range xs {
-		seen[x] = struct{}{}
-	}
-	return len(seen)
-}
-
-func maxInt(xs []int) int {
-	m := 0
-	for _, x := range xs {
-		if x > m {
-			m = x
+	if w.Samples > 0 {
+		seeds := sampling.Assign(strat, g, seed+1)
+		d.out = make([][]int, g)
+		for r := range d.out {
+			d.out[r] = sampling.NewSampler(w.Vocab, seeds[r]).Sample(w.Samples, d.in[r])
 		}
 	}
-	return m
+	return d
+}
+
+// counts merges the draw exactly as the unique exchange does: the largest
+// per-rank locally-unique input count, the global input unique count, the
+// largest per-rank candidate count and the global output unique count.
+func (d stepDraw) counts() (maxUi, ugIn, kc, ugOut int) {
+	for r := range d.in {
+		maxUi = max(maxUi, sampling.UniqueAcross(d.in[r:r+1]))
+	}
+	for _, c := range d.out {
+		kc = max(kc, len(c))
+	}
+	return maxUi, sampling.UniqueAcross(d.in), kc, sampling.UniqueAcross(d.out)
 }
 
 // stackKind enumerates the cumulative optimization stacks of Figure 6.
@@ -273,89 +296,67 @@ func (s stackKind) String() string {
 	return "?"
 }
 
-// stepCost assembles the perfmodel StepCost for one configuration. It is
-// the quantitative heart of Tables III/IV/V and Figure 6.
-func stepCost(w scalingWorkload, g int, stack stackKind, seed uint64) perfmodel.StepCost {
-	strat := sampling.AllDifferent
-	if stack >= stackSeeded && w.Samples > 0 {
-		strat = sampling.ZipfFreq
+// strategy is the stack's sampler-seed policy: per-rank seeds until
+// Zipf's-law seeding (§III-B) joins the stack.
+func (s stackKind) strategy() sampling.Strategy {
+	if s >= stackSeeded {
+		return sampling.ZipfFreq
 	}
-	uiIn, ugIn, candPerRank, ugOut := measuredUnique(w, g, strat, seed)
-	fp16 := stack >= stackCompressed
+	return sampling.AllDifferent
+}
 
-	cost := perfmodel.StepCost{
-		ComputeFLOPs: w.FLOPsPerStep,
-		AchievedFrac: w.AchievedFrac,
-		OverheadSec:  w.OverheadBase + w.OverheadLin*float64(g) + w.OverheadQuad*float64(g)*float64(g),
+// elemBytes is the wire size of one gradient element: FP16 once
+// compression (§III-C) joins the stack.
+func (s stackKind) elemBytes() int {
+	if s >= stackCompressed {
+		return 2
 	}
+	return 4
+}
 
-	// Dense RNN/projection gradients: ring all-reduce every step.
-	elem := int64(4)
-	if fp16 {
-		elem = 2
-	}
-	denseBytes := 2 * int64(g-1) * w.DenseParams * elem / int64(g)
-	cost.WireBytes += denseBytes
-	cost.WireHops += 2 * (g - 1)
-
-	kc := maxInt(candPerRank) // output-exchange rows per rank
-
-	if stack == stackBaseline {
-		// Input embedding: ALLGATHER of dense K×D blocks.
-		in := core.BaselineCost(g, w.K, w.D, fp16)
-		cost.WireBytes += in.WireBytes
-		cost.WireHops += g - 1
-		rows := int64(g) * int64(w.K)
-		if w.Samples > 0 {
-			out := core.BaselineCost(g, kc, w.D, fp16)
-			cost.WireBytes += out.WireBytes
-			cost.WireHops += g - 1
-			rows += int64(g) * int64(kc)
+// stepCost prices one synchronous step in closed form — the quantitative
+// heart of Tables III/IV/V and Figure 6. It charges exactly what the
+// online run (runWeakStepPriced) charges on the virtual clock, through the
+// same primitives: every collective the engines issue on the ring's
+// bottleneck link, compute at the achieved fraction of peak, the update
+// traffic at device bandwidth. The only difference is the strong-scaling
+// overhead's quadratic OverheadQuad·G² term. TestClosedFormMatchesVirtualClock
+// holds the two paths together at word-LM scale; the char and Tieba tables
+// are too large to run online.
+func stepCost(w scalingWorkload, g int, stack stackKind, seed uint64) weakRun {
+	hw := w.hardware()
+	link := hw.RingLink(g)
+	_, ugIn, kc, ugOut := drawStep(w, g, stack.strategy(), seed).counts()
+	elem := stack.elemBytes()
+	// One embedding exchange of k rows per rank: the index all-gather,
+	// then the baseline's row all-gather or the unique engines' ring
+	// all-reduce of the U_g×D matrix.
+	exchange := func(k, ug int) float64 {
+		idx := link.RingAllGatherSeconds(g, int64(4*k))
+		if stack == stackBaseline {
+			return idx + link.RingAllGatherSeconds(g, int64(k*w.D*elem))
 		}
-		cost.UpdateRows = rows
-		cost.UpdateDim = w.D
-		if w.DupSerialization && ugIn > 0 {
-			cost.UpdateSerialization = float64(int64(g)*int64(w.K)) / float64(ugIn)
-		}
-		// The locked scatter-add path runs at the (calibrated) staged
-		// update bandwidth; fold the ratio into the serialization factor
-		// so perfmodel's MemBW baseline stays uniform.
-		slow := perfmodel.TitanX().MemBW / w.updateBW(g)
-		if cost.UpdateSerialization < 1 {
-			cost.UpdateSerialization = 1
-		}
-		cost.UpdateSerialization *= slow
-		return cost
+		return idx + link.RingAllReduceSeconds(g, ug*w.D, elem)
 	}
 
-	// Unique exchange for the input embedding.
-	in := core.UniqueCost(g, w.K, maxInt(uiIn), ugIn, w.D, fp16)
-	cost.WireBytes += in.WireBytes
-	cost.WireHops += (g - 1) + 2*(g-1)
-	rows := int64(ugIn)
+	run := weakRun{ugIn: ugIn, ugOut: ugOut}
+	run.commSec = exchange(w.K, ugIn)
 	if w.Samples > 0 {
-		out := core.UniqueCost(g, kc, kc, ugOut, w.D, fp16)
-		cost.WireBytes += out.WireBytes
-		cost.WireHops += (g - 1) + 2*(g-1)
-		rows += int64(ugOut)
+		run.commSec += exchange(kc, ugOut)
 	}
-	// Conflict-free update at full device bandwidth (§III-A).
-	cost.UpdateRows = rows
-	cost.UpdateDim = w.D
-	cost.UpdateSerialization = 1
-	return cost
+	// Dense RNN/projection gradients: one ring all-reduce every step.
+	run.commSec += link.RingAllReduceSeconds(g, int(w.DenseParams), elem)
+	run.computeSec = hw.ComputeSeconds(w.FLOPsPerStep, w.AchievedFrac)
+	run.updateSec = hw.MemorySeconds(w.updateBytes(g, stack == stackBaseline, ugIn, ugOut, kc))
+	run.overheadSec = w.overheadSec(g) + w.OverheadQuad*float64(g)*float64(g)
+	run.stepSec = run.commSec + run.computeSec + run.updateSec + run.overheadSec
+	return run
 }
 
 // peakMemory models the per-GPU peak for one configuration, calibrated per
 // workload (see scalingWorkload fields).
 func peakMemory(w scalingWorkload, g int, stack stackKind, seed uint64) int64 {
-	strat := sampling.AllDifferent
-	if stack >= stackSeeded && w.Samples > 0 {
-		strat = sampling.ZipfFreq
-	}
-	uiIn, ugIn, candPerRank, ugOut := measuredUnique(w, g, strat, seed)
-	kc := maxInt(candPerRank)
-
+	maxUi, ugIn, kc, ugOut := drawStep(w, g, stack.strategy(), seed).counts()
 	if stack == stackBaseline {
 		scratch := core.BaselineCost(g, w.K, w.D, false).ScratchBytes
 		if w.Samples > 0 {
@@ -363,7 +364,7 @@ func peakMemory(w scalingWorkload, g int, stack stackKind, seed uint64) int64 {
 		}
 		return w.BaseMemory + int64(float64(scratch)*w.BaselineStaging)
 	}
-	scratch := core.UniqueCost(g, w.K, maxInt(uiIn), ugIn, w.D, false).ScratchBytes
+	scratch := core.UniqueCost(g, w.K, maxUi, ugIn, w.D, false).ScratchBytes
 	if w.Samples > 0 {
 		scratch += core.UniqueCost(g, kc, kc, ugOut, w.D, false).ScratchBytes
 	}

@@ -2,13 +2,13 @@ package perfmodel
 
 import "math/bits"
 
-// This file is the online half of the package: where perfmodel.go distills a
-// finished run's aggregate byte/FLOP counts into epoch hours, the types here
-// hand the *live* simulator per-operation costs. A Hardware profile exposes
-// its links as LinkCost values (α–β pairs); the collective layer charges
-// every ring hop, gather and broadcast through them as the operations
-// execute, and the cluster layer charges compute and memory traffic, so a
-// run's virtual clocks accumulate predicted wall-clock online.
+// This file holds the per-operation cost primitives. A Hardware profile
+// exposes its links as LinkCost values (α–β pairs); the collective layer
+// charges every ring hop, gather and broadcast through them as the
+// operations execute, and the cluster layer charges compute and memory
+// traffic, so a run's virtual clocks accumulate predicted wall-clock
+// online. Closed-form step models price each collective, FLOP and byte
+// through the same functions.
 
 // LinkCost is the α–β cost of one interconnect link: a message of b bytes
 // occupies the link for Alpha + b/BytesPerSec seconds. It is the per-link
@@ -78,9 +78,12 @@ func (h Hardware) InterLink() LinkCost {
 
 // RingLink returns the cost of the bottleneck link of a flat ring over g
 // ranks: PCIe while the ring stays inside one node, the InfiniBand node
-// boundary once it spans nodes (the LinkCost analogue of RingBW).
+// boundary once it spans nodes.
 func (h Hardware) RingLink(g int) LinkCost {
-	return LinkCost{Alpha: h.HopLatency, BytesPerSec: h.RingBW(g)}
+	if g <= h.GPUsPerNode {
+		return h.IntraLink()
+	}
+	return h.InterLink()
 }
 
 // ComputeSeconds returns the time flops floating-point operations take at

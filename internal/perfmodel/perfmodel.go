@@ -1,15 +1,19 @@
-// Package perfmodel estimates wall-clock training time on the paper's
-// hardware (Table II: 50 nodes × 8 GeForce GTX Titan X, PCIe 32 GB/s
-// bidirectional per GPU, FDR InfiniBand 15 GB/s bidirectional per node)
-// from the byte and FLOP counts the simulator measures.
+// Package perfmodel prices simulated work in wall-clock seconds on the
+// paper's hardware (Table II: 50 nodes × 8 GeForce GTX Titan X, PCIe 32 GB/s
+// bidirectional per GPU, FDR InfiniBand 15 GB/s bidirectional per node).
 //
-// The model is an α–β (latency–bandwidth) communication model combined
-// with an achieved-FLOPs compute model and a memory-bandwidth model for the
-// embedding scatter-add update. Absolute times depend on a small number of
-// calibration constants anchored to the paper's own measurements (§V-A:
-// 2.44 TFLOP/s achieved for word LM; §V-B: 3.95 TFLOP/s for char LM;
-// the 8-GPU epoch hours of Tables III and IV); the *scaling behaviour*
-// across GPU counts comes entirely from the measured volumes.
+// A Hardware profile exposes three primitives: α–β (latency–bandwidth)
+// LinkCost values for the collectives' ring hops, gathers and broadcasts;
+// ComputeSeconds, an achieved-FLOPs compute model; and MemorySeconds, a
+// memory-bandwidth model for the embedding scatter-add update. The
+// collective layer and cluster.Device charge the virtual clocks through
+// them as a run executes, and the paper-scale tables in
+// internal/experiments price their closed-form steps through the same
+// calls. Absolute times depend on a small number of calibration constants
+// anchored to the paper's own measurements (§V-A: 2.44 TFLOP/s achieved for
+// word LM; §V-B: 3.95 TFLOP/s for char LM; the 8-GPU epoch hours of Tables
+// III and IV); the *scaling behaviour* across GPU counts comes entirely
+// from the measured volumes.
 package perfmodel
 
 // Hardware describes one GPU cluster profile.
@@ -67,85 +71,3 @@ func V100() Hardware {
 		HopLatency:  10e-6,
 	}
 }
-
-// RingBW returns the effective per-rank ring bandwidth for a ring of g
-// ranks: PCIe while the ring stays inside one node, the InfiniBand node
-// boundary once it spans nodes.
-func (h Hardware) RingBW(g int) float64 {
-	if g <= h.GPUsPerNode {
-		return h.IntraBW
-	}
-	return h.InterBW
-}
-
-// StepCost aggregates everything one training step costs on one rank.
-type StepCost struct {
-	// ComputeFLOPs executed on the rank.
-	ComputeFLOPs float64
-	// AchievedFrac is the fraction of peak the kernels reach
-	// (paper: 0.40 word LM, 0.64 char LM).
-	AchievedFrac float64
-	// WireBytes is per-rank collective traffic this step.
-	WireBytes int64
-	// WireHops is the number of latency-bound collective stages
-	// (a ring all-reduce contributes 2(G−1), a gather G−1).
-	WireHops int
-	// UpdateRows is the number of embedding rows scatter-added into the
-	// local embedding matrices after the exchange.
-	UpdateRows int64
-	// UpdateDim is the embedding row width D.
-	UpdateDim int
-	// UpdateSerialization ≥ 1 models duplicate-row lock contention in the
-	// baseline update (§II-B: rows under update are locked; §III-A: "no
-	// serialization bottleneck" for the unique engine, factor 1).
-	UpdateSerialization float64
-	// OverheadSec is the fixed per-step framework cost (input pipeline,
-	// kernel launch, host sync) calibrated per model family.
-	OverheadSec float64
-}
-
-// StepTime returns the modeled duration of one synchronous training step on
-// a cluster of g ranks. Compute, communication and the embedding update are
-// serialized, as in the paper's TF-1.4 synchronous workflow.
-func (h Hardware) StepTime(g int, c StepCost) float64 {
-	compute := 0.0
-	if c.ComputeFLOPs > 0 {
-		frac := c.AchievedFrac
-		if frac <= 0 {
-			frac = 1
-		}
-		compute = c.ComputeFLOPs / (h.PeakFLOPS * frac)
-	}
-	comm := 0.0
-	if g > 1 {
-		comm = float64(c.WireBytes)/h.RingBW(g) + float64(c.WireHops)*h.HopLatency
-	}
-	update := 0.0
-	if c.UpdateRows > 0 {
-		ser := c.UpdateSerialization
-		if ser < 1 {
-			ser = 1
-		}
-		// Read-modify-write: 2× row bytes through memory.
-		update = 2 * float64(c.UpdateRows) * float64(c.UpdateDim) * 4 * ser / h.MemBW
-	}
-	return compute + comm + update + c.OverheadSec
-}
-
-// EpochTime returns hours per epoch given tokens per epoch and the global
-// batch (g ranks × k tokens each).
-func (h Hardware) EpochTime(g, kPerRank int, tokensPerEpoch int64, c StepCost) float64 {
-	steps := float64(tokensPerEpoch) / float64(int64(g)*int64(kPerRank))
-	return steps * h.StepTime(g, c) / 3600
-}
-
-// ParallelEfficiency is the Tables III/IV metric: speedup relative to a
-// baseline configuration divided by the resource ratio.
-//
-//	eff = (t_base · g_base) / (t · g)
-func ParallelEfficiency(tBase float64, gBase int, t float64, g int) float64 {
-	return tBase * float64(gBase) / (t * float64(g))
-}
-
-// Speedup is t_base / t.
-func Speedup(tBase, t float64) float64 { return tBase / t }

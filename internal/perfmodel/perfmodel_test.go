@@ -20,10 +20,10 @@ func TestTitanXMatchesTableII(t *testing.T) {
 
 func TestRingBWCrossesNodeBoundary(t *testing.T) {
 	h := TitanX()
-	if h.RingBW(8) != h.IntraBW {
+	if h.RingLink(8).BytesPerSec != h.IntraBW {
 		t.Error("8-rank ring must stay on PCIe")
 	}
-	if h.RingBW(16) != h.InterBW {
+	if h.RingLink(16).BytesPerSec != h.InterBW {
 		t.Error("16-rank ring must hit the InfiniBand boundary")
 	}
 	if h.InterBW >= h.IntraBW {
@@ -34,92 +34,20 @@ func TestRingBWCrossesNodeBoundary(t *testing.T) {
 func TestStepTimeComputeOnly(t *testing.T) {
 	h := TitanX()
 	// §V-A: 136 GFLOP/iter at 40% of peak = 2.44 TFLOP/s → 55.7 ms.
-	c := StepCost{ComputeFLOPs: 136e9, AchievedFrac: 0.40}
-	got := h.StepTime(8, c)
+	got := h.ComputeSeconds(136e9, 0.40)
 	want := 136e9 / 2.44e12
 	if math.Abs(got-want)/want > 1e-9 {
 		t.Errorf("compute time = %v, want %v", got, want)
 	}
 }
 
-func TestStepTimeAdditive(t *testing.T) {
-	h := TitanX()
-	c := StepCost{
-		ComputeFLOPs: 1e9, AchievedFrac: 0.5,
-		WireBytes: 1e8, WireHops: 14,
-		UpdateRows: 1000, UpdateDim: 512, UpdateSerialization: 2,
-		OverheadSec: 0.01,
-	}
-	full := h.StepTime(16, c)
-	var sum float64
-	sum += 1e9 / (h.PeakFLOPS * 0.5)
-	sum += 1e8/h.InterBW + 14*h.HopLatency
-	sum += 2 * 1000 * 512 * 4 * 2 / h.MemBW
-	sum += 0.01
-	if math.Abs(full-sum)/sum > 1e-12 {
-		t.Errorf("step time %v, want sum of parts %v", full, sum)
-	}
-}
-
 func TestSingleRankSkipsComm(t *testing.T) {
-	h := TitanX()
-	c := StepCost{WireBytes: 1e12, WireHops: 100}
-	if h.StepTime(1, c) != 0 {
+	l := TitanX().RingLink(1)
+	if l.RingAllReduceSeconds(1, 1<<28, 4) != 0 ||
+		l.RingAllReduceSecondsBytes(1, 1<<30) != 0 ||
+		l.RingAllGatherSeconds(1, 1<<30) != 0 ||
+		l.TreeBroadcastSeconds(1, 1<<30) != 0 {
 		t.Error("single rank must not pay communication")
-	}
-}
-
-func TestSerializationFloorsAtOne(t *testing.T) {
-	h := TitanX()
-	a := h.StepTime(1, StepCost{UpdateRows: 100, UpdateDim: 10, UpdateSerialization: 0})
-	b := h.StepTime(1, StepCost{UpdateRows: 100, UpdateDim: 10, UpdateSerialization: 1})
-	if a != b {
-		t.Error("serialization factor below 1 must clamp to 1")
-	}
-}
-
-func TestEpochTime(t *testing.T) {
-	h := TitanX()
-	c := StepCost{OverheadSec: 0.1} // 0.1 s/step exactly
-	// 1e6 tokens, 10 ranks × 100 tokens → 1000 steps → 100 s.
-	got := h.EpochTime(10, 100, 1_000_000, c)
-	want := 100.0 / 3600
-	if math.Abs(got-want)/want > 1e-12 {
-		t.Errorf("epoch time %v h, want %v h", got, want)
-	}
-}
-
-// TestEpochTimeShrinksWithG: with per-rank cost held fixed, doubling ranks
-// halves steps and thus epoch time — weak scaling's ideal.
-func TestEpochTimeShrinksWithG(t *testing.T) {
-	h := TitanX()
-	c := StepCost{ComputeFLOPs: 1e11, AchievedFrac: 0.5}
-	t8 := h.EpochTime(8, 640, 1e9, c)
-	t16 := h.EpochTime(16, 640, 1e9, c)
-	if math.Abs(t16*2-t8)/t8 > 1e-9 {
-		t.Errorf("ideal scaling violated: t8=%v t16=%v", t8, t16)
-	}
-}
-
-func TestParallelEfficiency(t *testing.T) {
-	// Table III "with our technique": 14.6 h at 8 GPUs → 8.1 h at 16 GPUs
-	// is reported as 90% efficiency.
-	eff := ParallelEfficiency(14.6, 8, 8.1, 16)
-	if math.Abs(eff-0.90) > 0.005 {
-		t.Errorf("efficiency = %v, Table III says 90%%", eff)
-	}
-	// And 4.5 h at 64 GPUs is 40%.
-	eff64 := ParallelEfficiency(14.6, 8, 4.5, 64)
-	if math.Abs(eff64-0.40) > 0.01 {
-		t.Errorf("efficiency = %v, Table III says 40%%", eff64)
-	}
-}
-
-func TestSpeedup(t *testing.T) {
-	// §V-A: "Compared to the 8 GPUs run without our techniques, the
-	// speedup becomes 7.7×" (35.1 h → 4.5 h).
-	if s := Speedup(35.1, 4.5); math.Abs(s-7.8) > 0.1 {
-		t.Errorf("speedup = %v, paper says 7.7–7.8×", s)
 	}
 }
 
