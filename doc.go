@@ -8,7 +8,7 @@
 // regenerates every table and figure of the paper's evaluation through
 // cmd/zipflm-bench and the benchmarks in bench_test.go.
 //
-// # Communication substrate: zero-copy rings, pooled buffers, overlap
+// # Communication substrate: zero-copy rings, blackboard views, overlap
 //
 // The simulated collectives (internal/collective) are engineered like the
 // production stacks the paper measures against:
@@ -16,10 +16,12 @@
 //   - The ring all-reduce is zero-copy and allocation-free at steady state:
 //     each hop sends the chunk subslice itself over a channel, and a
 //     closing barrier keeps a rank from rewriting its buffer while a
-//     peer's in-flight hop still aliases it. Blackboard buffers for
-//     gathers and broadcasts come from a communicator-wide sync.Pool arena
-//     and are recycled across steps. testing.AllocsPerRun guards both
-//     paths against regression.
+//     peer's in-flight hop still aliases it. Gathers, broadcasts, the
+//     allocation vote and the compressed all-reduce share one blackboard
+//     protocol: each rank stashes its payload in its own reusable buffer
+//     and peers read it as a view, never a copy, so a round allocates only
+//     the results callers keep. testing.AllocsPerRun guards both paths
+//     against regression.
 //
 //   - Comm.AllReduceAsync adds a Horovod/DDP-style bucket queue: tensors
 //     submitted as backpropagation produces them coalesce into

@@ -51,7 +51,7 @@ func (h *allocHarness) round() {
 func (h *allocHarness) close() { close(h.stop) }
 
 // skipIfRace skips allocation guards under -race: the detector's
-// instrumentation allocates and sync.Pool intentionally drops items there.
+// instrumentation allocates.
 func skipIfRace(t *testing.T) {
 	t.Helper()
 	if raceEnabled {
@@ -89,77 +89,100 @@ func TestAllReduceZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestAllGatherIntsAllocBound guards the pooled blackboard path: the only
-// permitted allocations are the caller-owned result slices (1 outer + G
-// inner per rank); the stash and its recycling must not allocate at steady
-// state.
-func TestAllGatherIntsAllocBound(t *testing.T) {
-	skipIfRace(t)
-	g := 4
-	c := New(g)
-	local := make([][]int, g)
-	for r := range local {
-		local[r] = make([]int, 50+r)
-	}
-	h := newAllocHarness(g, func(rank int) {
-		c.AllGatherInts(rank, local[rank])
-	})
-	for i := 0; i < 3; i++ {
-		h.round()
-	}
-	allocs := testing.AllocsPerRun(20, h.round)
-	h.close()
-	limit := float64(g * (g + 1))
-	if allocs > limit {
-		t.Errorf("AllGatherInts allocates %.1f objects per round, want ≤ %.0f (result copies only)", allocs, limit)
-	}
+// allocCase is one blackboard op under an allocation guard: perRank is the
+// number of caller-owned result allocations each rank may make per round.
+type allocCase struct {
+	name    string
+	perRank float64
+	op      func(c *Comm, rank int)
 }
 
-// TestAllGatherFloatsAllocBound is the float32 counterpart, FP16 wire
-// included (RoundTrip must stay in place).
-func TestAllGatherFloatsAllocBound(t *testing.T) {
+// checkAllocBound runs each case on a fresh g-rank Comm: once each rank's
+// stash buffer is warm, a round may allocate the caller-owned result copies
+// and nothing else.
+func checkAllocBound(t *testing.T, g int, cases []allocCase) {
+	t.Helper()
 	skipIfRace(t)
-	for _, wire := range []Wire{nil, half.NewScaler(256)} {
-		g := 4
-		c := New(g)
-		local := make([][]float32, g)
-		for r := range local {
-			local[r] = make([]float32, 200)
-		}
-		h := newAllocHarness(g, func(rank int) {
-			c.AllGatherFloats(rank, local[rank], wire)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(g)
+			h := newAllocHarness(g, func(rank int) { tc.op(c, rank) })
+			defer h.close()
+			for i := 0; i < 3; i++ {
+				h.round()
+			}
+			if allocs, limit := testing.AllocsPerRun(20, h.round), tc.perRank*float64(g); allocs > limit {
+				t.Errorf("%s allocates %.1f objects per round, want ≤ %.0f (result copies only)", tc.name, allocs, limit)
+			}
 		})
-		for i := 0; i < 3; i++ {
-			h.round()
-		}
-		allocs := testing.AllocsPerRun(20, h.round)
-		h.close()
-		limit := float64(g * (g + 1))
-		if allocs > limit {
-			t.Errorf("wire=%v: AllGatherFloats allocates %.1f objects per round, want ≤ %.0f", wire != nil, allocs, limit)
-		}
 	}
 }
 
-// TestBroadcastAllocBound: the root stash is pooled; only stats and no
-// payloads may allocate (receivers copy into caller-provided buffers).
-func TestBroadcastAllocBound(t *testing.T) {
-	skipIfRace(t)
-	g := 4
-	c := New(g)
-	bufs := make([][]float32, g)
-	for r := range bufs {
-		bufs[r] = make([]float32, 300)
+// TestAllGatherIntsAllocBound: the only permitted allocations are the
+// caller-owned result, one outer slice plus one backing array per rank.
+func TestAllGatherIntsAllocBound(t *testing.T) {
+	const g = 4
+	ints := make([][]int, g)
+	for r := range ints {
+		ints[r] = make([]int, 50+r)
 	}
-	h := newAllocHarness(g, func(rank int) {
-		c.Broadcast(rank, 0, bufs[rank])
+	checkAllocBound(t, g, []allocCase{
+		{"AllGatherInts", 2, func(c *Comm, rank int) { c.AllGatherInts(rank, ints[rank]) }},
 	})
-	for i := 0; i < 3; i++ {
-		h.round()
+}
+
+// TestAllGatherFloatsAllocBound: peers' blocks are handed out as views, so
+// a round allocates nothing, FP16 wire included (RoundTrip stays in place).
+func TestAllGatherFloatsAllocBound(t *testing.T) {
+	const g = 4
+	floats := make([][]float32, g)
+	for r := range floats {
+		floats[r] = make([]float32, 200+r)
 	}
-	allocs := testing.AllocsPerRun(20, h.round)
-	h.close()
-	if allocs != 0 {
-		t.Errorf("Broadcast allocates %.1f objects per round, want 0", allocs)
+	fp16 := half.NewScaler(256)
+	checkAllocBound(t, g, []allocCase{
+		{"fp32", 0, func(c *Comm, rank int) {
+			c.AllGatherFloats(rank, floats[rank], nil, func([][]float32) {})
+		}},
+		{"fp16", 0, func(c *Comm, rank int) {
+			c.AllGatherFloats(rank, floats[rank], fp16, func([][]float32) {})
+		}},
+	})
+}
+
+// TestBroadcastAllocBound: the root stash is pooled; each rank may allocate
+// only its copy of the root's payload.
+func TestBroadcastAllocBound(t *testing.T) {
+	const g = 4
+	ints := make([][]int, g)
+	floats := make([][]float32, g)
+	for r := 0; r < g; r++ {
+		ints[r] = make([]int, 50+r)
+		floats[r] = make([]float32, 300+r)
 	}
+	checkAllocBound(t, g, []allocCase{
+		{"BroadcastInts", 1, func(c *Comm, rank int) { c.BroadcastInts(rank, 1, ints[rank]) }},
+		{"BroadcastFloatsVar", 1, func(c *Comm, rank int) { c.BroadcastFloatsVar(rank, 1, floats[rank]) }},
+	})
+}
+
+// TestBlackboardAllocBound guards the remaining blackboard ops, which
+// allocate nothing at steady state: the compressed all-reduce decodes from
+// views and the vote returns a bool.
+func TestBlackboardAllocBound(t *testing.T) {
+	const g = 4
+	dst := make([][]float32, g)
+	payloads := make([][]byte, g)
+	for r := 0; r < g; r++ {
+		dst[r] = make([]float32, 8)
+		payloads[r] = encodePairs(map[int]float32{r: 1, 7: 2}, []int{r, 7})
+	}
+	checkAllocBound(t, g, []allocCase{
+		{"AllReduceCompressed", 0, func(c *Comm, rank int) {
+			if err := c.AllReduceCompressed(rank, dst[rank], payloads[rank], rawF32Decoder{}); err != nil {
+				t.Error(err)
+			}
+		}},
+		{"AgreeAllOK", 0, func(c *Comm, rank int) { c.AgreeAllOK(rank, true) }},
+	})
 }

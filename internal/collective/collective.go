@@ -14,13 +14,20 @@
 // subslice itself over the channel (the ring's dependency chain guarantees
 // the sender never rewrites a chunk before its receiver has consumed it),
 // so there is no payload staging at all, guarded by testing.AllocsPerRun
-// in the tests. Blackboard stash buffers for the gather/broadcast paths
-// come from a communicator-wide sync.Pool arena and are recycled across
-// operations. See also AllReduceAsync (async.go) for the bucketed,
+// in the tests. See also AllReduceAsync (async.go) for the bucketed,
 // overlap-capable variant of the same ring.
 //
-// Gathers use a shared blackboard with two barriers; their per-rank traffic
-// is accounted with the standard ring-allgather volume (G−1)/G·G·bytes.
+// Every other synchronous op — AllGatherInts, AllGatherFloats,
+// BroadcastInts, BroadcastFloatsVar, AgreeAllOK and AllReduceCompressed —
+// is one blackboard protocol (blackboard.go): each rank stashes a copy of
+// its payload in its own reusable buffer, a barrier publishes the stashes,
+// every rank reads its peers' payloads, and a closing barrier ends the op.
+// Peers' payloads are passed as views of their stashes, not copies, and a
+// view is valid only until the op's closing barrier — that is, while the
+// caller's callback (or the decoder) runs; the owner overwrites its stash
+// on its next op. Ops whose callers keep the result copy it out before
+// then. Gathers account their per-rank traffic at the standard
+// ring-allgather volume (G−1)/G·G·bytes.
 //
 // Every operation optionally runs with FP16 wire compression (§III-C): the
 // payload is down-cast before each hop and up-cast after, halving measured
@@ -77,22 +84,14 @@ type Comm struct {
 	ring      []chan []float32
 	asyncRing []chan []float32
 
-	// buf / intBuf / byteBuf pool float32, int and byte blackboard stash
-	// buffers, recycled once their collective completes, which keeps the
-	// gather/broadcast paths allocation-free apart from the caller-owned
-	// result copies.
-	buf     sync.Pool
-	intBuf  sync.Pool
-	byteBuf sync.Pool
+	// ints, floats and bytes are the blackboards of the gather, broadcast,
+	// vote and compressed all-reduce ops (blackboard.go).
+	ints   board[int]
+	floats board[float32]
+	bytes  board[byte]
 
-	// blackboard for gather/broadcast style ops. Entries are pooled
-	// buffers owned by the writing rank; a rank recycles its previous
-	// entry the next time it stashes (by then the prior collective's
-	// closing barrier guarantees no reader still holds it).
-	mu     sync.Mutex
-	intsBB []*[]int
-	f32BB  []*[]float32
-	byteBB []*[]byte
+	// mu guards stats and asyncStats.
+	mu sync.Mutex
 
 	// barrier closes every synchronous collective; asyncBarrier closes
 	// every async bucket (bucket k on one rank pairs with bucket k on
@@ -177,9 +176,9 @@ func New(g int) *Comm {
 		g:            g,
 		ring:         make([]chan []float32, g),
 		asyncRing:    make([]chan []float32, g),
-		intsBB:       make([]*[]int, g),
-		f32BB:        make([]*[]float32, g),
-		byteBB:       make([]*[]byte, g),
+		ints:         newBoard[int](g),
+		floats:       newBoard[float32](g),
+		bytes:        newBoard[byte](g),
 		barrier:      NewBarrier(g),
 		asyncBarrier: NewBarrier(g),
 		stats:        make([]Stats, g),
@@ -265,69 +264,6 @@ func (c *Comm) Barrier() {
 			c.barrier.Wait()
 		}
 	}
-}
-
-// getBuf checks a float32 buffer of length n out of the arena, allocating
-// only when the pool has nothing large enough (start-up, or a new high-water
-// payload size).
-func (c *Comm) getBuf(n int) *[]float32 {
-	if p, ok := c.buf.Get().(*[]float32); ok && p != nil {
-		if cap(*p) >= n {
-			*p = (*p)[:n]
-			return p
-		}
-	}
-	s := make([]float32, n)
-	return &s
-}
-
-// putBuf returns a buffer to the arena.
-func (c *Comm) putBuf(p *[]float32) { c.buf.Put(p) }
-
-// getIntBuf / putIntBuf are the int-payload arena used by the index
-// blackboard.
-func (c *Comm) getIntBuf(n int) *[]int {
-	if p, ok := c.intBuf.Get().(*[]int); ok && p != nil {
-		if cap(*p) >= n {
-			*p = (*p)[:n]
-			return p
-		}
-	}
-	s := make([]int, n)
-	return &s
-}
-
-func (c *Comm) putIntBuf(p *[]int) { c.intBuf.Put(p) }
-
-// stashInts publishes a copy of local as rank's blackboard entry, recycling
-// the rank's previous entry into the arena (safe: the previous collective's
-// closing barrier means no reader still holds it).
-func (c *Comm) stashInts(rank int, local []int) {
-	p := c.getIntBuf(len(local))
-	copy(*p, local)
-	c.mu.Lock()
-	if old := c.intsBB[rank]; old != nil {
-		c.putIntBuf(old)
-	}
-	c.intsBB[rank] = p
-	c.mu.Unlock()
-}
-
-// stashFloats is the float32 counterpart of stashInts; when wire is non-nil
-// the stashed copy is FP16 round-tripped (the payload crosses the wire once
-// in half precision).
-func (c *Comm) stashFloats(rank int, local []float32, wire Wire) {
-	p := c.getBuf(len(local))
-	copy(*p, local)
-	if wire != nil {
-		wire.RoundTrip(*p)
-	}
-	c.mu.Lock()
-	if old := c.f32BB[rank]; old != nil {
-		c.putBuf(old)
-	}
-	c.f32BB[rank] = p
-	c.mu.Unlock()
 }
 
 // chunkRange returns the [lo,hi) bounds of chunk i when n elements are split
@@ -479,172 +415,6 @@ func (c *Comm) AllReduce(rank int, x []float32, wire Wire) {
 		c.tel.record("allreduce", wireLabel(wire), 1, bytes, int64(time.Since(t0)))
 	}
 	c.traceOp("allreduce", rank, t0, v0)
-}
-
-// AllGatherInts gathers each rank's (possibly different-length) int slice;
-// every rank receives the per-rank slices in rank order. This is the cheap
-// Θ(G·K) index gather of §III-A step 3. The returned inner slices are
-// copies owned by the caller (the blackboard stash itself is pooled).
-func (c *Comm) AllGatherInts(rank int, local []int) [][]int {
-	var t0 time.Time
-	var v0 float64
-	if c.tel != nil || c.trace != nil {
-		t0 = time.Now()
-		v0 = c.clockNow(rank)
-	}
-	c.stashInts(rank, local)
-	c.barrier.Wait()
-
-	out := make([][]int, c.g)
-	var totalElems, maxElems int
-	c.mu.Lock()
-	for r, s := range c.intsBB {
-		var src []int
-		if s != nil {
-			src = *s
-		}
-		cp := make([]int, len(src))
-		copy(cp, src)
-		out[r] = cp
-		totalElems += len(src)
-		if len(src) > maxElems {
-			maxElems = len(src)
-		}
-	}
-	// Ring all-gather volume per rank: (G−1)/G of the total payload,
-	// with indices on the wire as int32 (4 bytes) as real stacks do.
-	bytes := int64(4*totalElems) * int64(c.g-1) / int64(c.g)
-	c.stats[rank].AllGatherCalls++
-	c.stats[rank].AllGatherBytes += bytes
-	c.mu.Unlock()
-	c.barrier.Wait()
-	c.charge(rank, func(cm *CostModel) {
-		cm.Charge(cm.Link.RingAllGatherSeconds(c.g, int64(4*maxElems)))
-	})
-	if c.tel != nil {
-		c.tel.record("allgather_ints", "int32", 1, bytes, int64(time.Since(t0)))
-	}
-	c.traceOp("allgather_ints", rank, t0, v0)
-	return out
-}
-
-// AllGatherFloats gathers each rank's float32 slice to every rank, FP32 or
-// FP16 on the wire. This is the expensive baseline exchange of §II-B: the
-// result materializes G dense gradient blocks on every rank.
-func (c *Comm) AllGatherFloats(rank int, local []float32, wire Wire) [][]float32 {
-	var t0 time.Time
-	var v0 float64
-	if c.tel != nil || c.trace != nil {
-		t0 = time.Now()
-		v0 = c.clockNow(rank)
-	}
-	c.stashFloats(rank, local, wire)
-	c.barrier.Wait()
-
-	out := make([][]float32, c.g)
-	var totalBytes, maxBytes int64
-	c.mu.Lock()
-	for r, s := range c.f32BB {
-		var src []float32
-		if s != nil {
-			src = *s
-		}
-		cp := make([]float32, len(src))
-		copy(cp, src)
-		out[r] = cp
-		b := wireSize(wire, len(src))
-		totalBytes += b
-		if b > maxBytes {
-			maxBytes = b
-		}
-	}
-	bytes := totalBytes * int64(c.g-1) / int64(c.g)
-	c.stats[rank].AllGatherCalls++
-	c.stats[rank].AllGatherBytes += bytes
-	c.mu.Unlock()
-	c.barrier.Wait()
-	c.charge(rank, func(cm *CostModel) {
-		cm.Charge(cm.Link.RingAllGatherSeconds(c.g, maxBytes))
-	})
-	if c.tel != nil {
-		c.tel.record("allgather_floats", wireLabel(wire), 1, bytes, int64(time.Since(t0)))
-	}
-	c.traceOp("allgather_floats", rank, t0, v0)
-	return out
-}
-
-// Broadcast distributes root's buffer to every rank (into each rank's x,
-// which must have the root's length).
-func (c *Comm) Broadcast(rank, root int, x []float32) {
-	var t0 time.Time
-	var v0 float64
-	if c.tel != nil || c.trace != nil {
-		t0 = time.Now()
-		v0 = c.clockNow(rank)
-	}
-	if rank == root {
-		c.stashFloats(root, x, nil)
-	}
-	c.barrier.Wait()
-	c.mu.Lock()
-	var src []float32
-	if p := c.f32BB[root]; p != nil {
-		src = *p
-	}
-	c.mu.Unlock()
-	if len(src) != len(x) {
-		panic(fmt.Sprintf("collective: Broadcast length mismatch on rank %d: %d != %d", rank, len(x), len(src)))
-	}
-	if rank != root {
-		copy(x, src)
-	}
-	c.mu.Lock()
-	c.stats[rank].BroadcastCalls++
-	if rank == root {
-		// Tree broadcast: root sends ~1 copy per subtree; account
-		// the standard log-tree per-rank volume of one payload.
-		c.stats[rank].BroadcastBytes += int64(4 * len(x))
-	}
-	c.mu.Unlock()
-	c.barrier.Wait()
-	c.charge(rank, func(cm *CostModel) {
-		cm.Charge(cm.Link.TreeBroadcastSeconds(c.g, int64(4*len(x))))
-	})
-	if c.tel != nil {
-		var bytes int64
-		if rank == root {
-			bytes = int64(4 * len(x))
-		}
-		c.tel.record("broadcast", "fp32", 1, bytes, int64(time.Since(t0)))
-	}
-	c.traceOp("broadcast", rank, t0, v0)
-}
-
-// AgreeAllOK is a control-plane consensus: every rank reports a boolean and
-// all ranks learn whether every rank said true. Exchange engines use it to
-// fail collectively when any rank cannot allocate scratch memory, so no
-// rank blocks in a data collective its peers abandoned. Control-plane
-// traffic is excluded from the data-plane byte accounting.
-func (c *Comm) AgreeAllOK(rank int, ok bool) bool {
-	var vote [1]int
-	if ok {
-		vote[0] = 1
-	}
-	c.stashInts(rank, vote[:])
-	c.barrier.Wait()
-	all := true
-	c.mu.Lock()
-	for _, s := range c.intsBB {
-		if s == nil || len(*s) != 1 || (*s)[0] == 0 {
-			all = false
-		}
-	}
-	c.mu.Unlock()
-	c.barrier.Wait()
-	// Control-plane consensus: excluded from byte accounting, but it is a
-	// synchronization point, so clocks max-sync (zero-byte charge).
-	c.charge(rank, func(cm *CostModel) { cm.Charge(0) })
-	return all
 }
 
 // Barrier is a reusable counting barrier for a fixed number of parties.

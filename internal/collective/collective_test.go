@@ -211,7 +211,15 @@ func TestAllGatherFloats(t *testing.T) {
 	results := make([][][]float32, g)
 	runRanks(g, func(rank int) {
 		local := []float32{float32(rank), float32(rank) * 2}
-		results[rank] = c.AllGatherFloats(rank, local, nil)
+		c.AllGatherFloats(rank, local, nil, func(blocks [][]float32) {
+			if &blocks[rank][0] == &local[0] {
+				t.Error("AllGatherFloats aliased the caller's block instead of stashing a copy")
+			}
+			results[rank] = make([][]float32, g)
+			for r, b := range blocks {
+				results[rank][r] = append([]float32(nil), b...)
+			}
+		})
 	})
 	for rank := 0; rank < g; rank++ {
 		for r := 0; r < g; r++ {
@@ -220,11 +228,6 @@ func TestAllGatherFloats(t *testing.T) {
 			}
 		}
 	}
-	// Returned slices must be caller-owned copies.
-	results[0][1][0] = 999
-	if results[1][1][0] == 999 {
-		t.Error("AllGatherFloats returned shared storage")
-	}
 }
 
 func TestAllGatherFloatsFP16HalvesBytes(t *testing.T) {
@@ -232,7 +235,7 @@ func TestAllGatherFloatsFP16HalvesBytes(t *testing.T) {
 	run := func(wire Wire) int64 {
 		c := New(g)
 		runRanks(g, func(rank int) {
-			c.AllGatherFloats(rank, make([]float32, n), wire)
+			c.AllGatherFloats(rank, make([]float32, n), wire, func([][]float32) {})
 		})
 		return c.RankStats(0).AllGatherBytes
 	}
@@ -252,8 +255,7 @@ func TestBroadcast(t *testing.T) {
 		if rank == 2 {
 			buf[0], buf[1], buf[2] = 7, 8, 9
 		}
-		c.Broadcast(rank, 2, buf)
-		results[rank] = buf
+		results[rank] = c.BroadcastFloatsVar(rank, 2, buf)
 	})
 	for rank := 0; rank < g; rank++ {
 		if results[rank][0] != 7 || results[rank][2] != 9 {

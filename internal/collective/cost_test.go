@@ -71,7 +71,7 @@ func TestAllGatherChargesLargestPayload(t *testing.T) {
 		}
 	}
 	runRanks(g, func(rank int) {
-		c.AllGatherFloats(rank, make([]float32, sizes[rank]), nil)
+		c.AllGatherFloats(rank, make([]float32, sizes[rank]), nil, func([][]float32) {})
 	})
 	want += testLink.RingAllGatherSeconds(g, int64(4*7))
 	for r, ck := range clocks {
@@ -85,7 +85,7 @@ func TestBroadcastCharges(t *testing.T) {
 	const g, n = 4, 256
 	c, clocks := newCostComm(g)
 	runRanks(g, func(rank int) {
-		c.Broadcast(rank, 0, make([]float32, n))
+		c.BroadcastFloatsVar(rank, 0, make([]float32, n))
 	})
 	want := testLink.TreeBroadcastSeconds(g, int64(4*n))
 	for r, ck := range clocks {
@@ -130,8 +130,8 @@ func TestDeterministicVirtualTime(t *testing.T) {
 			c.AllReduce(rank, x, nil)
 			c.AllGatherInts(rank, make([]int, 10+rank))
 			c.Barrier()
-			c.AllGatherFloats(rank, make([]float32, 50), half.NewScaler(1))
-			c.Broadcast(rank, 2, x)
+			c.AllGatherFloats(rank, make([]float32, 50), half.NewScaler(1), func([][]float32) {})
+			c.BroadcastFloatsVar(rank, 2, x)
 			c.AgreeAllOK(rank, true)
 		})
 		out := make([]float64, g)

@@ -3,7 +3,6 @@
 package collective
 
 // raceEnabled reports that this test binary was built with -race, under
-// which sync.Pool intentionally drops items (poolRaceHack) and the runtime
-// instrumentation itself allocates — allocation guards are meaningless
-// there and skip themselves.
+// which the runtime instrumentation itself allocates — allocation guards
+// are meaningless there and skip themselves.
 const raceEnabled = true

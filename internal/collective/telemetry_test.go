@@ -109,7 +109,7 @@ func TestTelemetryAsyncAndGather(t *testing.T) {
 		c.FlushAsync(rank)
 		p.Wait()
 		c.AllGatherInts(rank, []int{rank})
-		c.AllGatherFloats(rank, xs[rank][:4], nil)
+		c.AllGatherFloats(rank, xs[rank][:4], nil, func([][]float32) {})
 	})
 
 	for _, op := range []string{"allreduce_async", "allgather_ints", "allgather_floats"} {

@@ -43,7 +43,6 @@ func (BaselineAllGather) Exchange(ctx *Ctx, grad SparseGrad) (Update, Stats, err
 	stats.ScratchBytes = scratch
 
 	allIdx := ctx.Comm.AllGatherInts(ctx.Rank, grad.Indices)
-	allRows := ctx.Comm.AllGatherFloats(ctx.Rank, grad.Rows.Data, ctx.Wire)
 
 	// Local scatter-add of all G·K token rows. Duplicate words collide on
 	// the same accumulator row — the very serialization §III-A eliminates.
@@ -62,12 +61,16 @@ func (BaselineAllGather) Exchange(ctx *Ctx, grad SparseGrad) (Update, Stats, err
 		pos[w] = i
 	}
 	acc := tensor.NewMatrix(len(order), d)
-	for r, idxs := range allIdx {
-		block := tensor.NewMatrixFrom(len(idxs), d, allRows[r])
-		for i, w := range idxs {
-			tensor.AddInPlace(acc.Row(pos[w]), block.Row(i))
+	// The rows are added straight out of the peers' gathered blocks, which
+	// are views valid only inside the callback.
+	ctx.Comm.AllGatherFloats(ctx.Rank, grad.Rows.Data, ctx.Wire, func(allRows [][]float32) {
+		for r, idxs := range allIdx {
+			block := tensor.NewMatrixFrom(len(idxs), d, allRows[r])
+			for i, w := range idxs {
+				tensor.AddInPlace(acc.Row(pos[w]), block.Row(i))
+			}
 		}
-	}
+	})
 
 	stats.UniqueLocal = countUnique(grad.Indices)
 	stats.UniqueGlobal = len(order)

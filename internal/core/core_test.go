@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -114,6 +115,24 @@ func TestBaselineMatchesReference(t *testing.T) {
 		if stats[r].Tokens != 50 {
 			t.Errorf("rank %d tokens = %d", r, stats[r].Tokens)
 		}
+	}
+}
+
+// TestBaselineHostAllocSubQuadratic guards the baseline's host memory at the
+// word-LM shape (K=640, D=512): one G=16 round, all ranks in this process,
+// must allocate under half of G²·K·D·4 bytes — what handing every rank its
+// own copy of all G gathered blocks costs. The rows are scatter-added from
+// views of the peers' stashes instead.
+func TestBaselineHostAllocSubQuadratic(t *testing.T) {
+	const g, k, d = 16, 640, 512
+	grads := makeGrads(g, k, d, 1000, 13)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	runExchange(t, BaselineAllGather{}, grads, nil, nil)
+	runtime.ReadMemStats(&after)
+	limit := uint64(g*g*k*d*4) / 2
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Errorf("one baseline round allocated %d MB, want < %d MB", got>>20, limit>>20)
 	}
 }
 

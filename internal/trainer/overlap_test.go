@@ -12,8 +12,9 @@ import (
 
 // runPair trains the same workload twice — synchronous dense reduction vs
 // the overlapped bucketed path — and returns both trainers after identical
-// step counts.
-func runPair(t *testing.T, cfg Config, train, valid []int, steps int) (syncTr, overlapTr *Trainer) {
+// step counts. bucketBytes > 0 overrides the overlapped run's async
+// bucket-close threshold.
+func runPair(t *testing.T, cfg Config, train, valid []int, steps int, bucketBytes int64) (syncTr, overlapTr *Trainer) {
 	t.Helper()
 	cfgSync := cfg
 	cfgSync.Overlap = false
@@ -26,6 +27,9 @@ func runPair(t *testing.T, cfg Config, train, valid []int, steps int) (syncTr, o
 	overlapTr, err = New(cfgOv, train, valid)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if bucketBytes > 0 {
+		overlapTr.Comm().SetBucketBytes(bucketBytes)
 	}
 	if err := syncTr.Steps(steps); err != nil {
 		t.Fatal(err)
@@ -88,14 +92,13 @@ func TestOverlapBitIdenticalToSync(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallConfig(tc.ranks, tc.ex)
 			cfg.Model.Sampled = tc.sampled
-			cfg.BucketBytes = tc.bucket
 			if tc.fp16 {
 				cfg.Wire = half.NewScaler(512)
 			}
 			if tc.name == "g4-hier-engine" {
 				cfg.Exchange = core.HierarchicalExchange{Hier: collective.NewHierarchy(tc.ranks, 2)}
 			}
-			syncTr, overlapTr := runPair(t, cfg, train, valid, 4)
+			syncTr, overlapTr := runPair(t, cfg, train, valid, 4, tc.bucket)
 			if err := overlapTr.ReplicasInSync(); err != nil {
 				t.Fatalf("overlap replicas diverged: %v", err)
 			}
@@ -166,7 +169,7 @@ func TestOverlapWithOptimizersAndClip(t *testing.T) {
 	cfg.Model.Sampled = 10
 	cfg.ClipNorm = 0.5
 	cfg.SeedStrategy = sampling.AllSame
-	syncTr, overlapTr := runPair(t, cfg, train, valid, 5)
+	syncTr, overlapTr := runPair(t, cfg, train, valid, 5, 0)
 	requireIdenticalModels(t, "clip", syncTr.Model(0), overlapTr.Model(0))
 	if err := overlapTr.ReplicasInSync(); err != nil {
 		t.Fatal(err)

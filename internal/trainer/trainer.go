@@ -100,10 +100,6 @@ type Config struct {
 	// Gradients, wire bytes, and replicas are bit-identical to the
 	// synchronous path (tested); only wall-clock changes.
 	Overlap bool
-	// BucketBytes overrides the async bucket-close threshold
-	// (collective.DefaultBucketBytes when 0). Only meaningful with
-	// Overlap.
-	BucketBytes int64
 	// Hardware, when non-nil, threads the virtual clock through the run:
 	// every synchronous collective advances the participating ranks'
 	// clocks by α + bytes/β on the profile's ring link, per-step compute
@@ -334,9 +330,6 @@ func New(cfg Config, train, valid []int) (*Trainer, error) {
 		clu:   cluster.New(cfg.Ranks, cfg.DeviceCapacity),
 		comm:  collective.New(cfg.Ranks),
 		valid: valid,
-	}
-	if cfg.BucketBytes > 0 {
-		t.comm.SetBucketBytes(cfg.BucketBytes)
 	}
 	if cfg.Telemetry != nil {
 		t.tel = newTrainerTelemetry(cfg.Telemetry)
